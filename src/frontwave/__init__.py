@@ -32,7 +32,6 @@ from .io import (
 from .front import (
     Forcing,
     FrontProfile,
-    FrontRelaxParams,
     compute_speed,
     curvature_term,
     front_derivatives,

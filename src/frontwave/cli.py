@@ -74,9 +74,9 @@ def cmd_solve(args) -> int:
     start = time.perf_counter()
     try:
         wave = solve_traveling_wave(config)
-    except NonConvergenceError as exc:
+    except (NonConvergenceError, LinearSolverError) as exc:
         write_failure_manifest(outdir, echo, exc)
-        logger.error("solve did not converge: %s", exc)
+        logger.error("solve failed: %s", exc)
         return 2
     elapsed = time.perf_counter() - start
     write_solution(outdir, wave, echo)
@@ -146,10 +146,12 @@ def _sweep_case(name, value, doc, case_dir):
     case_config = config_from_dict(doc)
     try:
         wave = solve_traveling_wave(case_config)
-    except NonConvergenceError as exc:
-        logger.error("%s=%s did not converge: %s", name, value, exc)
+    except (NonConvergenceError, LinearSolverError) as exc:
+        logger.error("%s=%s failed: %s", name, value, exc)
         write_failure_manifest(case_dir, doc, exc)
-        return (name, value, None, None, None, "non-convergence"), False
+        linear = isinstance(exc, LinearSolverError)
+        verdict = "linear-solver-failure" if linear else "non-convergence"
+        return (name, value, None, None, None, verdict), False
     write_solution(case_dir, wave, doc)
     ok = wave.report is None or wave.report.passed
     iterations = sum(record.sweeps for record in wave.history)
@@ -193,8 +195,9 @@ def cmd_sweep(args) -> int:
     rows = [row for row, _ in results]
     all_ok = all(ok for _, ok in results)
     for row in rows:
-        speed = "did not converge" if row[2] is None else f"speed {row[2]:.12g}"
-        print(f"{row[0]}={row[1]}: {speed} [{row[5]}]")
+        failed = "did not converge" if row[5] == "non-convergence" else "solve failed"
+        status = failed if row[2] is None else f"speed {row[2]:.12g}"
+        print(f"{row[0]}={row[1]}: {status} [{row[5]}]")
     outdir.mkdir(parents=True, exist_ok=True)
     write_rows_csv(outdir / "sweep.csv", SWEEP_COLUMNS, rows)
     return 0 if all_ok else 3

@@ -111,8 +111,6 @@ _SOLVER_FIELDS = (
     "outer_tol",
     "max_outer_iter",
     "front_tol",
-    "front_cfl",
-    "front_max_iter",
     "initial_truncation",
     "max_stages",
 )
@@ -139,10 +137,10 @@ def config_from_dict(data: dict) -> SolverConfig:
 
     solver = data.get("solver", {})
     _check_fields("solver", solver, (), _SOLVER_FIELDS)
-    for key in ("damping", "outer_tol", "front_tol", "front_cfl"):
+    for key in ("damping", "outer_tol", "front_tol"):
         if key in solver:
             kwargs[key] = _number("solver", solver, key)
-    for key in ("max_outer_iter", "front_max_iter", "initial_truncation", "max_stages"):
+    for key in ("max_outer_iter", "initial_truncation", "max_stages"):
         if key in solver:
             kwargs[key] = _integer("solver", solver, key)
 

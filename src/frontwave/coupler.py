@@ -1,4 +1,4 @@
-"""Outer solver: couples the front relaxation to the temperature field.
+"""Outer solver: couples the front solve to the temperature field.
 
 The traveling wave is a fixed point of the loop
 
@@ -23,7 +23,7 @@ from .errors import ConfigurationError, NonConvergenceError
 from .front import (
     Forcing,
     FrontProfile,
-    FrontRelaxParams,
+    check_cell_count,
     compute_speed,
     front_residual,
     normalize_front,
@@ -55,6 +55,11 @@ logger = logging.getLogger("frontwave")
 _EDGE_ALIGN_TOL = 1e-9
 
 
+class _OuterLoopError(NonConvergenceError):
+    """The outer sweeps diverged or ran out of budget: the one failure that
+    a smaller damping factor can cure, so the only one a stage retries."""
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Everything needed to set up and run the coupled solver.
@@ -74,8 +79,6 @@ class SolverConfig:
     outer_tol: float = 1e-6
     max_outer_iter: int = 200
     front_tol: float = 1e-8
-    front_cfl: float = 0.25
-    front_max_iter: int = 1_000_000
     initial_truncation: int = 1
     max_stages: int = 24
     run_diagnostics: bool = True
@@ -85,12 +88,7 @@ class SolverConfig:
             raise ConfigurationError("kinetics must be a KineticsModel")
         if not isinstance(self.rate, CombustionRate):
             raise ConfigurationError("rate must be a CombustionRate")
-        if (
-            not isinstance(self.ny, (int, np.integer))
-            or self.ny < 8
-            or (self.ny & (self.ny - 1)) != 0
-        ):
-            raise ConfigurationError("ny must be a power of two >= 8")
+        check_cell_count(self.ny, error=ConfigurationError)
         if self.nx is not None and (
             not isinstance(self.nx, (int, np.integer)) or self.nx < 16
         ):
@@ -107,10 +105,6 @@ class SolverConfig:
             raise ConfigurationError("max_outer_iter must be >= 1")
         if not (np.isfinite(self.front_tol) and self.front_tol > 0.0):
             raise ConfigurationError("front_tol must be positive")
-        if not (0.0 < self.front_cfl <= 0.5):
-            raise ConfigurationError("front_cfl must lie in (0, 0.5]")
-        if self.front_max_iter < 1:
-            raise ConfigurationError("front_max_iter must be >= 1")
         if (
             not isinstance(self.initial_truncation, (int, np.integer))
             or self.initial_truncation < 1
@@ -118,12 +112,6 @@ class SolverConfig:
             raise ConfigurationError("initial_truncation must be an integer >= 1")
         if self.max_stages < 1:
             raise ConfigurationError("max_stages must be >= 1")
-
-    @property
-    def relax_params(self) -> FrontRelaxParams:
-        return FrontRelaxParams(
-            cfl=self.front_cfl, tol=self.front_tol, max_iter=self.front_max_iter
-        )
 
 
 class PicardState(NamedTuple):
@@ -246,11 +234,11 @@ def picard_step(
     rate: CombustionRate,
     grid: StripGrid,
     omega: float,
-    relax_params: FrontRelaxParams,
+    front_tol: float,
 ) -> PicardState:
     """One damped sweep of the outer loop."""
     forcing = build_forcing(kinetics, rate, state.theta)
-    speed, relaxed = relax_front(forcing, state.psi, relax_params)
+    speed, relaxed = relax_front(forcing, state.psi, tol=front_tol)
     blended = (1.0 - omega) * state.psi.values + omega * relaxed.values
     psi_new = normalize_front(blended)
     field = solve_temperature(psi_new, speed, grid)
@@ -291,11 +279,10 @@ def solve_at_truncation(
         grid = resolve_grid(config)
     state = start if start is not None else initial_state(config, grid)
     omega = config.damping if omega is None else omega
-    params = config.relax_params
     updates = []
     speeds = []
     for sweep in range(1, config.max_outer_iter + 1):
-        new = picard_step(state, kinetics, rate, grid, omega, params)
+        new = picard_step(state, kinetics, rate, grid, omega, config.front_tol)
         delta = float(
             np.max(np.abs(new.psi.values - state.psi.values))
             + abs(new.speed - state.speed)
@@ -304,7 +291,7 @@ def solve_at_truncation(
         speeds.append(new.speed)
         state = new
         if not np.isfinite(delta):
-            raise NonConvergenceError(
+            raise _OuterLoopError(
                 "outer iteration diverged",
                 iterations=sweep,
                 residual=delta,
@@ -312,7 +299,7 @@ def solve_at_truncation(
             )
         if delta < config.outer_tol:
             return state, sweep, updates
-    raise NonConvergenceError(
+    raise _OuterLoopError(
         "outer iteration exhausted its sweep budget",
         iterations=config.max_outer_iter,
         residual=updates[-1],
@@ -327,9 +314,8 @@ def _finalize(state, kinetics_n, config, rate, grid):
     after which the quoted forcing is rebuilt from the final trace and the
     quoted speed from that forcing, making the speed identity exact.
     """
-    params = config.relax_params
     for _ in range(2):
-        state = picard_step(state, kinetics_n, rate, grid, 1.0, params)
+        state = picard_step(state, kinetics_n, rate, grid, 1.0, config.front_tol)
     forcing = build_forcing(kinetics_n, rate, state.theta)
     speed = compute_speed(forcing, state.psi)
     return state, forcing, speed
@@ -340,8 +326,9 @@ def solve_traveling_wave(config: SolverConfig) -> TravelingWave:
 
     Raises:
         ConfigurationError: for inconsistent setup (via grid resolution).
-        NonConvergenceError: if a stage fails even with repeated damping
-            cuts, or the stage budget runs out before the speed settles.
+        NonConvergenceError: if a stage's outer loop fails even with
+            repeated damping cuts, a front solve fails (not retried), or the
+            stage budget runs out before the speed settles.
     """
     grid = resolve_grid(config)
     base = config.kinetics
@@ -362,7 +349,7 @@ def solve_traveling_wave(config: SolverConfig) -> TravelingWave:
                     config, n, grid=grid, start=entry, omega=omega
                 )
                 break
-            except NonConvergenceError as exc:
+            except _OuterLoopError as exc:
                 if attempt == 3:
                     raise NonConvergenceError(
                         f"stage n={n} failed to converge even at damping "

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .front import front_derivatives
 from .kinetics import PiecewiseConstantRate, truncate_kinetics
 from .temperature import gradient_energy
 
@@ -223,13 +224,8 @@ def check_curvature_cap(wave) -> CheckResult:
     a genuine curvature kink there and the centered second difference is not
     a faithful sample of it.
     """
-    psi = wave.psi.values
-    ny = psi.size
-    h = 1.0 / ny
-    up = np.roll(psi, -1)
-    down = np.roll(psi, 1)
-    slope = (up - down) / (2.0 * h)
-    second = (up - 2.0 * psi + down) / (h * h)
+    slope, second = front_derivatives(wave.psi)
+    ny = slope.size
     _, r_hi = wave.rate.bounds
     cap = 2.0 * r_hi * _final_kinetics(wave).supremum
     allowed = cap * (1.0 + slope * slope) ** 1.5

@@ -19,7 +19,7 @@ class LinearSolverError(FrontwaveError):
 
 
 class NonConvergenceError(FrontwaveError):
-    """An iteration (front relaxation, fixed-point sweep, or continuation)
+    """An iteration (front Newton solve, fixed-point sweep, or continuation)
     exhausted its budget without meeting its tolerance.
 
     Attributes:

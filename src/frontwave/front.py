@@ -1,4 +1,4 @@
-"""Front geometry and the free-boundary relaxation solver.
+"""Front geometry and the free-boundary Newton solver.
 
 The front is a periodic graph ``x = psi(y)`` over the unit cell.  A traveling
 front with speed ``c`` under a forcing ``H(y)`` (burning rate times reaction
@@ -20,7 +20,6 @@ from .errors import NonConvergenceError
 __all__ = [
     "FrontProfile",
     "Forcing",
-    "FrontRelaxParams",
     "front_derivatives",
     "curvature_term",
     "compute_speed",
@@ -30,16 +29,23 @@ __all__ = [
 ]
 
 
-def _check_cell_count(n: int):
-    if n < 8 or (n & (n - 1)) != 0:
-        raise ValueError("transverse node count must be a power of two >= 8")
+# Caps per front solve; a converging solve takes a handful of full steps.
+_MAX_NEWTON_STEPS = 50
+_MAX_HALVINGS = 30
+
+
+def check_cell_count(n, name: str = "ny", error=ValueError) -> int:
+    """Return ``n`` as an int if it is a power of two >= 8; raise otherwise."""
+    if not isinstance(n, (int, np.integer)) or n < 8 or (n & (n - 1)) != 0:
+        raise error(f"{name} must be a power of two >= 8")
+    return int(n)
 
 
 def _periodic_values(obj, name: str, nonnegative=True) -> np.ndarray:
     arr = np.asarray(getattr(obj, "values", obj), dtype=float)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
-    _check_cell_count(arr.size)
+    check_cell_count(arr.size, "transverse node count")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be finite")
     if nonnegative and np.any(arr < 0.0):
@@ -87,21 +93,18 @@ class Forcing:
         return self.values.size
 
 
-@dataclass(frozen=True)
-class FrontRelaxParams:
-    """Knobs for the pseudo-time front relaxation."""
-
-    cfl: float = 0.25
-    tol: float = 1e-8
-    max_iter: int = 1_000_000
-
-    def __post_init__(self):
-        if not (0.0 < self.cfl <= 0.5):
-            raise ValueError("cfl must lie in (0, 0.5]")
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+def _stencil(arr: np.ndarray):
+    """Periodic differences at spacing ``h = 1/n``, shared by every front
+    operator: ``(forward slope, centered slope, centered second difference,
+    conservative curvature)``."""
+    h = 1.0 / arr.size
+    up = np.roll(arr, -1)
+    down = np.roll(arr, 1)
+    dplus = (up - arr) / h
+    angle = np.arctan(dplus)
+    slope = (up - down) / (2.0 * h)
+    second = (up - 2.0 * arr + down) / (h * h)
+    return dplus, slope, second, (angle - np.roll(angle, 1)) / h
 
 
 def front_derivatives(psi):
@@ -111,11 +114,7 @@ def front_derivatives(psi):
         Tuple ``(slope, second)`` of ndarrays at the nodes.
     """
     arr = _periodic_values(psi, "front profile", nonnegative=False)
-    h = 1.0 / arr.size
-    up = np.roll(arr, -1)
-    down = np.roll(arr, 1)
-    slope = (up - down) / (2.0 * h)
-    second = (up - 2.0 * arr + down) / (h * h)
+    _, slope, second, _ = _stencil(arr)
     return slope, second
 
 
@@ -124,14 +123,10 @@ def curvature_term(psi) -> np.ndarray:
 
     Uses the turning-angle flux ``arctan`` of the one-sided slopes, so the
     discrete mean over a period vanishes identically (telescoping sum) -- the
-    property that lets the relaxation drive the residual to round-off-limited
+    property that lets the front solve drive the residual to round-off-limited
     tolerances.
     """
-    arr = _periodic_values(psi, "front profile", nonnegative=False)
-    h = 1.0 / arr.size
-    dplus = (np.roll(arr, -1) - arr) / h
-    angle = np.arctan(dplus)
-    return (angle - np.roll(angle, 1)) / h
+    return _stencil(_periodic_values(psi, "front profile", nonnegative=False))[3]
 
 
 def compute_speed(forcing, psi) -> float:
@@ -144,7 +139,7 @@ def compute_speed(forcing, psi) -> float:
     arr = _periodic_values(psi, "front profile", nonnegative=False)
     if H.size != arr.size:
         raise ValueError("forcing and front profile sizes differ")
-    slope, _ = front_derivatives(arr)
+    slope = _stencil(arr)[1]
     return float(np.mean(H * np.sqrt(1.0 + slope * slope)))
 
 
@@ -154,8 +149,8 @@ def front_residual(psi, speed: float, forcing) -> np.ndarray:
     arr = _periodic_values(psi, "front profile", nonnegative=False)
     if H.size != arr.size:
         raise ValueError("forcing and front profile sizes differ")
-    slope, _ = front_derivatives(arr)
-    return curvature_term(arr) + speed - H * np.sqrt(1.0 + slope * slope)
+    _, slope, _, curv = _stencil(arr)
+    return curv + speed - H * np.sqrt(1.0 + slope * slope)
 
 
 def normalize_front(psi) -> FrontProfile:
@@ -164,17 +159,36 @@ def normalize_front(psi) -> FrontProfile:
     return FrontProfile(arr - arr.min())
 
 
-def relax_front(forcing, initial=None, params: FrontRelaxParams | None = None):
-    """Relax a profile to the traveling-front balance for a frozen forcing.
+def _jacobian(H, dplus, slope, arc) -> np.ndarray:
+    """Bordered Newton matrix: the periodic tridiagonal derivative of the
+    front residual, a column of ones for ``c`` and the ``mean(psi)`` row."""
+    n = H.size
+    h = 1.0 / n
+    j = np.arange(n)
+    flux = 1.0 / ((1.0 + dplus * dplus) * h * h)
+    flux_down = np.roll(flux, 1)
+    arc_term = H * slope / (2.0 * h * arc)
+    jac = np.zeros((n + 1, n + 1))
+    jac[j, j] = -(flux + flux_down)
+    jac[j, (j + 1) % n] = flux - arc_term
+    jac[j, (j - 1) % n] = flux_down + arc_term
+    jac[:n, n] = 1.0
+    jac[n, :n] = 1.0 / n
+    return jac
 
-    Explicit pseudo-time marching of ``psi_t = curvature + c(t) - H * arc``
-    with the running speed ``c(t)`` chosen as the mean of ``H * arc``, which
-    conserves the profile mean; the step obeys a diffusion-style restriction.
+
+def relax_front(forcing, initial=None, *, tol: float = 1e-8):
+    """Solve the traveling-front balance for a frozen forcing.
+
+    Damped Newton on the bordered system: unknowns ``(psi, c)``, equations
+    the front residual at the nodes plus a row holding ``mean(psi)`` fixed.
+    Each step is halved until the norm of the equations decreases; the solve
+    stops when ``max|curvature + mean(H * arc) - H * arc| < tol``.
 
     Args:
         forcing: ``Forcing`` (or array) of nonnegative strengths.
         initial: optional warm-start profile; defaults to a flat front.
-        params: relaxation knobs (CFL number, tolerance, budget).
+        tol: stopping tolerance on the residual.
 
     Returns:
         Tuple ``(speed, profile)`` with the profile min-normalized and the
@@ -183,45 +197,51 @@ def relax_front(forcing, initial=None, params: FrontRelaxParams | None = None):
 
     Raises:
         NonConvergenceError: if the residual fails to drop below tolerance
-            within the iteration budget.
+            within the step budget, or no step length decreases it.
     """
     H = _periodic_values(forcing, "forcing")
-    if params is None:
-        params = FrontRelaxParams()
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
     if initial is None:
         psi = np.zeros_like(H)
     else:
-        psi = _periodic_values(initial, "front profile").copy()
+        psi = _periodic_values(initial, "front profile")
         if psi.size != H.size:
             raise ValueError("forcing and front profile sizes differ")
-
     n = H.size
-    h = 1.0 / n
-    recent = []
-    residual = np.inf
-    for _ in range(params.max_iter):
-        up = np.roll(psi, -1)
-        dplus = (up - psi) / h
-        angle = np.arctan(dplus)
-        curv = (angle - np.roll(angle, 1)) / h
-        slope = (up - np.roll(psi, 1)) / (2.0 * h)
+    anchor = float(np.mean(psi))
+
+    def evaluate(psi, c=None):
+        """Equations, stopping residual and Jacobian inputs at ``(psi, c)``."""
+        dplus, slope, _, curv = _stencil(psi)
         arc = np.sqrt(1.0 + slope * slope)
-        speed = float(np.mean(H * arc))
-        rhs = curv + speed - H * arc
-        residual = float(np.max(np.abs(rhs)))
-        recent.append(residual)
-        if len(recent) > 8:
-            recent.pop(0)
-        if residual < params.tol:
-            break
-        tau = params.cfl * h * h / (1.0 + float(np.max(dplus * dplus)))
-        psi += tau * rhs
-    else:
+        push = H * arc
+        speed = float(np.mean(push))
+        c = speed if c is None else c
+        equations = np.append(curv + c - push, np.mean(psi) - anchor)
+        residual = float(np.max(np.abs(curv + speed - push)))
+        return psi, c, equations, residual, (dplus, slope, arc)
+
+    psi, c, equations, residual, diffs = evaluate(psi)
+    history = [residual]
+    while residual >= tol and len(history) <= _MAX_NEWTON_STEPS:
+        delta = np.linalg.solve(_jacobian(H, *diffs), -equations)
+        norm = np.linalg.norm(equations)
+        for halving in range(_MAX_HALVINGS):
+            lam = 0.5**halving
+            trial = evaluate(psi + lam * delta[:n], c + lam * delta[n])
+            if np.linalg.norm(trial[2]) <= (1.0 - 1e-4 * lam) * norm:
+                break
+        else:
+            break  # no step length decreases the equations
+        psi, c, equations, residual, diffs = trial
+        history.append(residual)
+    if residual >= tol:
         raise NonConvergenceError(
-            "front relaxation did not reach tolerance",
-            iterations=params.max_iter,
+            "front Newton solve did not reach tolerance",
+            iterations=len(history) - 1,
             residual=residual,
-            history=recent,
+            history=history[-8:],
         )
 
     profile = normalize_front(psi)

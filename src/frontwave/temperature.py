@@ -25,7 +25,7 @@ from scipy import sparse
 from scipy.sparse import linalg as sparse_linalg
 
 from .errors import ConfigurationError, LinearSolverError
-from .front import FrontProfile, front_derivatives
+from .front import FrontProfile, check_cell_count, front_derivatives
 
 __all__ = [
     "StripGrid",
@@ -55,16 +55,10 @@ class StripGrid:
     def __post_init__(self):
         if not isinstance(self.nx, (int, np.integer)) or self.nx < 16:
             raise ValueError("nx must be an integer >= 16")
-        if (
-            not isinstance(self.ny, (int, np.integer))
-            or self.ny < 8
-            or (self.ny & (self.ny - 1)) != 0
-        ):
-            raise ValueError("ny must be a power of two >= 8")
+        object.__setattr__(self, "ny", check_cell_count(self.ny))
         if not (np.isfinite(self.depth) and self.depth > 0.0):
             raise ValueError("depth must be positive and finite")
         object.__setattr__(self, "nx", int(self.nx))
-        object.__setattr__(self, "ny", int(self.ny))
         object.__setattr__(self, "depth", float(self.depth))
 
     @property

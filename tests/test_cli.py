@@ -6,6 +6,8 @@ import shutil
 import numpy as np
 import pytest
 
+import frontwave.cli as cli
+from frontwave import LinearSolverError
 from frontwave.cli import main
 from frontwave.io import TRACE_COLUMNS, read_columns
 
@@ -134,6 +136,21 @@ def test_solve_rejects_broken_json(tmp_path):
                  "--out", str(tmp_path / "run")]) == 1
 
 
+def test_solve_linear_solver_failure_writes_failure_manifest(tmp_path, monkeypatch):
+    def failing_solve(config):
+        raise LinearSolverError("refinement stalled", residual=1e-9)
+
+    monkeypatch.setattr(cli, "solve_traveling_wave", failing_solve)
+    outdir = tmp_path / "run"
+    code = main(["solve", "--config", write_config(tmp_path, FLAT_DOC),
+                 "--out", str(outdir)])
+    assert code == 2
+    manifest = read_manifest(outdir)
+    assert manifest["status"] == "failed"
+    assert "refinement stalled" in manifest["reason"]
+    assert manifest["config"] == FLAT_DOC
+
+
 def test_bad_log_level_is_config_error(tmp_path, monkeypatch):
     monkeypatch.setenv("FRONTWAVE_LOG", "chatty")
     code = main(["solve", "--config", write_config(tmp_path, FLAT_DOC),
@@ -223,6 +240,33 @@ def test_sweep_mixed_verdicts_exit_3(tmp_path, capsys):
     assert second[-1] == "pass"
     assert read_manifest(outdir / "case_000")["status"] == "failed"
     assert read_manifest(outdir / "case_001")["status"] == "converged"
+
+
+def test_sweep_marks_linear_solver_failure_row(tmp_path, capsys, monkeypatch):
+    real_solve = cli.solve_traveling_wave
+
+    def solve_or_fail(config):
+        if config.kinetics.activation == 2.0:
+            raise LinearSolverError("refinement stalled", residual=1e-9)
+        return real_solve(config)
+
+    monkeypatch.setattr(cli, "solve_traveling_wave", solve_or_fail)
+    outdir = tmp_path / "sweep"
+    code = main(["sweep", "--config", write_config(tmp_path, FLAT_DOC),
+                 "--axis", "kinetics.activation=1,2", "--out", str(outdir),
+                 "--jobs", "2"])
+    assert code == 3
+    assert "kinetics.activation=2: solve failed [linear-solver-failure]" in (
+        capsys.readouterr().out
+    )
+
+    table = read_table(outdir / "sweep.csv")
+    assert table["verdict"] == ["pass", "linear-solver-failure"]
+    assert table["speed"][1] == ""
+    failed = read_manifest(outdir / "case_001")
+    assert failed["status"] == "failed"
+    assert "refinement stalled" in failed["reason"]
+    assert read_manifest(outdir / "case_000")["status"] == "converged"
 
 
 def test_convergence_study_flat(tmp_path, capsys):

@@ -31,8 +31,6 @@ def full_document():
             "outer_tol": 1e-7,
             "max_outer_iter": 99,
             "front_tol": 1e-9,
-            "front_cfl": 0.2,
-            "front_max_iter": 50_000,
             "initial_truncation": 2,
             "max_stages": 12,
         },
@@ -62,8 +60,6 @@ def test_full_document_round_trip():
     assert config.outer_tol == 1e-7
     assert config.max_outer_iter == 99
     assert config.front_tol == 1e-9
-    assert config.front_cfl == 0.2
-    assert config.front_max_iter == 50_000
     assert config.initial_truncation == 2
     assert config.max_stages == 12
     assert config.run_diagnostics is False

@@ -21,6 +21,7 @@ from frontwave import (
     solve_traveling_wave,
     truncate_kinetics,
 )
+import frontwave.coupler as coupler
 from frontwave.coupler import PicardState
 
 
@@ -52,7 +53,7 @@ def test_config_validation():
     with pytest.raises(ConfigurationError):
         flat_like(initial_truncation=0)
     with pytest.raises(ConfigurationError):
-        flat_like(front_cfl=0.9)
+        flat_like(front_tol=0.0)
 
 
 def test_resolve_grid_passthrough_and_auto():
@@ -115,7 +116,7 @@ def test_picard_fixed_point_invariance(flat_wave, flat_config):
         field=flat_wave.field,
     )
     out = picard_step(
-        state, kinetics, flat_config.rate, flat_wave.grid, 1.0, flat_config.relax_params
+        state, kinetics, flat_config.rate, flat_wave.grid, 1.0, flat_config.front_tol
     )
     assert abs(out.speed - state.speed) <= 1e-8
     assert np.max(np.abs(out.psi.values - state.psi.values)) <= 1e-8
@@ -167,6 +168,38 @@ def test_solve_at_truncation_reports_nonconvergence_history():
     assert len(err.history) == 1
     speed, update = err.history[0]
     assert np.isfinite(speed) and np.isfinite(update)
+
+
+def test_stage_retries_outer_failures_but_not_front_failures(monkeypatch):
+    striated = dict(
+        rate=PiecewiseConstantRate(edges=(0.0, 0.5), values=(0.5, 1.5)),
+        nx=None,
+        depth=None,
+    )
+    stage_calls = []
+    real_stage = coupler.solve_at_truncation
+
+    def counting_stage(*args, **kwargs):
+        stage_calls.append(kwargs["omega"])
+        return real_stage(*args, **kwargs)
+
+    monkeypatch.setattr(coupler, "solve_at_truncation", counting_stage)
+    with pytest.raises(NonConvergenceError, match="even at damping"):
+        solve_traveling_wave(flat_like(max_outer_iter=1, **striated))
+    assert stage_calls == [1.0, 0.5, 0.25, 0.125]
+
+    front_calls = []
+
+    def failing_front(*args, **kwargs):
+        front_calls.append(args)
+        raise NonConvergenceError("front solve failed", iterations=3)
+
+    stage_calls.clear()
+    monkeypatch.setattr(coupler, "relax_front", failing_front)
+    with pytest.raises(NonConvergenceError, match="front solve failed"):
+        solve_traveling_wave(flat_like(**striated))
+    assert len(front_calls) == 1
+    assert stage_calls == [1.0]
 
 
 def test_flat_wave_matches_closed_form(flat_wave):
