@@ -2,13 +2,11 @@
 
 from .config import config_from_dict, load_config
 from .coupler import (
-    PicardState,
     ResidualNorms,
     SolverConfig,
     StageRecord,
     TravelingWave,
     build_forcing,
-    picard_step,
     resolve_grid,
     solve_at_truncation,
     solve_traveling_wave,
@@ -25,7 +23,6 @@ from .io import (
     read_columns,
     read_field,
     write_failure_manifest,
-    write_field_csv,
     write_rows_csv,
     write_solution,
 )
@@ -54,7 +51,6 @@ from .temperature import (
     StripGrid,
     TemperatureField,
     assemble_system,
-    extract_trace,
     gradient_energy,
     solve_temperature,
 )

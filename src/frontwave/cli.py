@@ -19,7 +19,7 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -28,7 +28,7 @@ import numpy as np
 from .config import config_from_dict, load_config
 from .coupler import resolve_grid, solve_traveling_wave
 from .diagnostics import run_all
-from .errors import ConfigurationError, LinearSolverError, NonConvergenceError
+from .errors import ConfigurationError, FrontwaveError
 from .io import load_wave, write_failure_manifest, write_rows_csv, write_solution
 from .kinetics import truncate_kinetics
 
@@ -74,10 +74,9 @@ def cmd_solve(args) -> int:
     start = time.perf_counter()
     try:
         wave = solve_traveling_wave(config)
-    except (NonConvergenceError, LinearSolverError) as exc:
+    except FrontwaveError as exc:
         write_failure_manifest(outdir, echo, exc)
-        logger.error("solve failed: %s", exc)
-        return 2
+        raise
     elapsed = time.perf_counter() - start
     write_solution(outdir, wave, echo)
     print(
@@ -142,20 +141,18 @@ def _apply_override(doc: dict, name: str, value):
 
 
 def _sweep_case(name, value, doc, case_dir):
-    """Solve one sweep row in its own directory; returns a sweep.csv row."""
+    """Solve one sweep row in its own directory; returns its sweep.csv row."""
     case_config = config_from_dict(doc)
     try:
         wave = solve_traveling_wave(case_config)
-    except (NonConvergenceError, LinearSolverError) as exc:
+    except FrontwaveError as exc:
         logger.error("%s=%s failed: %s", name, value, exc)
         write_failure_manifest(case_dir, doc, exc)
-        linear = isinstance(exc, LinearSolverError)
-        verdict = "linear-solver-failure" if linear else "non-convergence"
-        return (name, value, None, None, None, verdict), False
+        return name, value, None, None, None, exc.verdict
     write_solution(case_dir, wave, doc)
     ok = wave.report is None or wave.report.passed
     iterations = sum(record.sweeps for record in wave.history)
-    row = (
+    return (
         name,
         value,
         wave.speed,
@@ -163,7 +160,6 @@ def _sweep_case(name, value, doc, case_dir):
         iterations,
         "pass" if ok else "checks-failed",
     )
-    return row, ok
 
 
 def cmd_sweep(args) -> int:
@@ -179,28 +175,15 @@ def cmd_sweep(args) -> int:
         config_from_dict(doc)
         cases.append((value, doc, outdir / f"case_{index:03d}"))
 
-    results = [None] * len(cases)
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            futures = {
-                pool.submit(_sweep_case, name, value, doc, case_dir): k
-                for k, (value, doc, case_dir) in enumerate(cases)
-            }
-            for future in as_completed(futures):
-                results[futures[future]] = future.result()
-    else:
-        for k, (value, doc, case_dir) in enumerate(cases):
-            results[k] = _sweep_case(name, value, doc, case_dir)
+    with ThreadPoolExecutor(max_workers=max(args.jobs, 1)) as pool:
+        rows = list(pool.map(lambda case: _sweep_case(name, *case), cases))
 
-    rows = [row for row, _ in results]
-    all_ok = all(ok for _, ok in results)
     for row in rows:
-        failed = "did not converge" if row[5] == "non-convergence" else "solve failed"
-        status = failed if row[2] is None else f"speed {row[2]:.12g}"
+        status = "solve failed" if row[2] is None else f"speed {row[2]:.12g}"
         print(f"{row[0]}={row[1]}: {status} [{row[5]}]")
     outdir.mkdir(parents=True, exist_ok=True)
     write_rows_csv(outdir / "sweep.csv", SWEEP_COLUMNS, rows)
-    return 0 if all_ok else 3
+    return 0 if all(row[5] == "pass" for row in rows) else 3
 
 
 def cmd_convergence(args) -> int:
@@ -328,14 +311,9 @@ def main(argv=None) -> int:
     try:
         _configure_logging()
         return args.func(args)
-    except (ConfigurationError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (FrontwaveError, ValueError, OSError) as exc:
         logger.error("%s", exc)
-        if not logging.getLogger().handlers:
-            print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (NonConvergenceError, LinearSolverError) as exc:
-        logger.error("%s", exc)
-        return 2
+        return exc.exit_code if isinstance(exc, FrontwaveError) else 1
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import diagnostics as _diagnostics
-from .errors import ConfigurationError, NonConvergenceError
+from .errors import ConfigurationError, FrontwaveError, NonConvergenceError
 from .front import (
     Forcing,
     FrontProfile,
@@ -39,13 +39,11 @@ from .temperature import StripGrid, TemperatureField, solve_temperature
 
 __all__ = [
     "SolverConfig",
-    "PicardState",
     "StageRecord",
     "ResidualNorms",
     "TravelingWave",
     "resolve_grid",
     "build_forcing",
-    "picard_step",
     "solve_at_truncation",
     "solve_traveling_wave",
 ]
@@ -114,7 +112,7 @@ class SolverConfig:
             raise ConfigurationError("max_stages must be >= 1")
 
 
-class PicardState(NamedTuple):
+class _PicardState(NamedTuple):
     """One iterate of the outer fixed-point loop."""
 
     speed: float
@@ -217,37 +215,37 @@ def build_forcing(kinetics: KineticsModel, rate: CombustionRate, theta) -> Forci
     """Forcing ``H_j = R(y_j) * K(theta_j)`` at the transverse nodes.
 
     Tiny negative trace values (linear-solver noise) are clipped; anything
-    below ``-1e-10`` is treated as a genuine domain error.
+    below ``-1e-10`` is a numerical failure of the solve.
     """
     arr = np.asarray(theta, dtype=float)
     if arr.min() < 0.0:
         if arr.min() < -1e-10:
-            raise ValueError("trace temperatures are significantly negative")
+            raise FrontwaveError("trace temperatures are significantly negative")
         arr = np.maximum(arr, 0.0)
     nodes = np.arange(arr.size) / arr.size
     return Forcing(rate.evaluate(nodes) * kinetics.evaluate(arr))
 
 
-def picard_step(
-    state: PicardState,
+def _picard_step(
+    state: _PicardState,
     kinetics: KineticsModel,
     rate: CombustionRate,
     grid: StripGrid,
     omega: float,
     front_tol: float,
-) -> PicardState:
+) -> _PicardState:
     """One damped sweep of the outer loop."""
     forcing = build_forcing(kinetics, rate, state.theta)
     speed, relaxed = relax_front(forcing, state.psi, tol=front_tol)
     blended = (1.0 - omega) * state.psi.values + omega * relaxed.values
     psi_new = normalize_front(blended)
     field = solve_temperature(psi_new, speed, grid)
-    return PicardState(speed=speed, psi=psi_new, theta=field.trace, field=field)
+    return _PicardState(speed=speed, psi=psi_new, theta=field.trace, field=field)
 
 
-def initial_state(config: SolverConfig, grid: StripGrid) -> PicardState:
+def _initial_state(config: SolverConfig, grid: StripGrid) -> _PicardState:
     """Flat front, uniform hot trace, and the a-priori speed cap."""
-    return PicardState(
+    return _PicardState(
         speed=_stage_speed_cap(config),
         psi=FrontProfile(np.zeros(grid.ny)),
         theta=np.ones(grid.ny),
@@ -259,7 +257,7 @@ def solve_at_truncation(
     config: SolverConfig,
     n: int,
     grid: Optional[StripGrid] = None,
-    start: Optional[PicardState] = None,
+    start: Optional[_PicardState] = None,
     omega: Optional[float] = None,
 ):
     """Iterate the outer loop to a fixed point for the floor-``1/n`` law.
@@ -277,12 +275,12 @@ def solve_at_truncation(
     rate = config.rate
     if grid is None:
         grid = resolve_grid(config)
-    state = start if start is not None else initial_state(config, grid)
+    state = start if start is not None else _initial_state(config, grid)
     omega = config.damping if omega is None else omega
     updates = []
     speeds = []
     for sweep in range(1, config.max_outer_iter + 1):
-        new = picard_step(state, kinetics, rate, grid, omega, config.front_tol)
+        new = _picard_step(state, kinetics, rate, grid, omega, config.front_tol)
         delta = float(
             np.max(np.abs(new.psi.values - state.psi.values))
             + abs(new.speed - state.speed)
@@ -315,7 +313,7 @@ def _finalize(state, kinetics_n, config, rate, grid):
     quoted speed from that forcing, making the speed identity exact.
     """
     for _ in range(2):
-        state = picard_step(state, kinetics_n, rate, grid, 1.0, config.front_tol)
+        state = _picard_step(state, kinetics_n, rate, grid, 1.0, config.front_tol)
     forcing = build_forcing(kinetics_n, rate, state.theta)
     speed = compute_speed(forcing, state.psi)
     return state, forcing, speed
@@ -333,7 +331,7 @@ def solve_traveling_wave(config: SolverConfig) -> TravelingWave:
     grid = resolve_grid(config)
     base = config.kinetics
     rate = config.rate
-    state = initial_state(config, grid)
+    state = _initial_state(config, grid)
     n = config.initial_truncation
     prev_speed = None
     history = []

@@ -2,16 +2,29 @@
 
 
 class FrontwaveError(Exception):
-    """Base class for all solver-specific errors."""
+    """Base class for all solver-specific errors.
+
+    Each type says what its failure means: ``exit_code`` is the command-line
+    exit status and ``verdict`` the ``sweep.csv`` entry of a row that raised
+    it.  The base class is a numerical failure.
+    """
+
+    exit_code = 2
+    verdict = "numerical-failure"
 
 
 class ConfigurationError(FrontwaveError):
     """Invalid configuration: bad field values, inconsistent grid, or an
     advection cell number too large for the discretization."""
 
+    exit_code = 1
+    verdict = "configuration-error"
+
 
 class LinearSolverError(FrontwaveError):
     """The sparse linear solve failed or left too large a residual."""
+
+    verdict = "linear-solver-failure"
 
     def __init__(self, message, residual=None):
         super().__init__(message)
@@ -27,6 +40,8 @@ class NonConvergenceError(FrontwaveError):
         residual: last convergence measure observed.
         history: recent per-iteration measures, useful for spotting cycles.
     """
+
+    verdict = "non-convergence"
 
     def __init__(self, message, iterations=None, residual=None, history=None):
         super().__init__(message)

@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse import linalg as sparse_linalg
 
 from .errors import NonConvergenceError
 
@@ -159,22 +161,26 @@ def normalize_front(psi) -> FrontProfile:
     return FrontProfile(arr - arr.min())
 
 
-def _jacobian(H, dplus, slope, arc) -> np.ndarray:
-    """Bordered Newton matrix: the periodic tridiagonal derivative of the
-    front residual, a column of ones for ``c`` and the ``mean(psi)`` row."""
+def _jacobian(H, dplus, slope, arc):
+    """Bordered Newton matrix (sparse): the periodic tridiagonal derivative
+    of the front residual, a column of ones for ``c`` and the ``mean(psi)``
+    row."""
     n = H.size
     h = 1.0 / n
     j = np.arange(n)
     flux = 1.0 / ((1.0 + dplus * dplus) * h * h)
     flux_down = np.roll(flux, 1)
     arc_term = H * slope / (2.0 * h * arc)
-    jac = np.zeros((n + 1, n + 1))
-    jac[j, j] = -(flux + flux_down)
-    jac[j, (j + 1) % n] = flux - arc_term
-    jac[j, (j - 1) % n] = flux_down + arc_term
-    jac[:n, n] = 1.0
-    jac[n, :n] = 1.0 / n
-    return jac
+    rows = np.concatenate([j, j, j, j, np.full(n, n)])
+    cols = np.concatenate([j, (j + 1) % n, (j - 1) % n, np.full(n, n), j])
+    data = np.concatenate([
+        -(flux + flux_down),
+        flux - arc_term,
+        flux_down + arc_term,
+        np.ones(n),
+        np.full(n, 1.0 / n),
+    ])
+    return sparse.csc_matrix((data, (rows, cols)), shape=(n + 1, n + 1))
 
 
 def relax_front(forcing, initial=None, *, tol: float = 1e-8):
@@ -225,7 +231,7 @@ def relax_front(forcing, initial=None, *, tol: float = 1e-8):
     psi, c, equations, residual, diffs = evaluate(psi)
     history = [residual]
     while residual >= tol and len(history) <= _MAX_NEWTON_STEPS:
-        delta = np.linalg.solve(_jacobian(H, *diffs), -equations)
+        delta = sparse_linalg.spsolve(_jacobian(H, *diffs), -equations)
         norm = np.linalg.norm(equations)
         for halving in range(_MAX_HALVINGS):
             lam = 0.5**halving

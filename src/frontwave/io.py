@@ -9,6 +9,7 @@ they round-trip exactly.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -25,7 +26,6 @@ __all__ = [
     "write_solution",
     "write_failure_manifest",
     "write_rows_csv",
-    "write_field_csv",
     "read_field",
     "read_columns",
     "load_wave",
@@ -59,28 +59,16 @@ def write_rows_csv(path, header, rows):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def write_field_csv(path, field: TemperatureField):
-    """Write one row per grid node: mapped-strip abscissa, transverse
-    coordinate, and field value."""
-    grid = field.grid
-    rows = []
-    for i, x in enumerate(grid.x_nodes):
-        for j, y in enumerate(grid.y_nodes):
-            rows.append((x, y, field.values[i, j]))
-    write_rows_csv(path, ("x", "y", "v"), rows)
-
-
-def _stage_entry(record: StageRecord) -> dict:
-    gap = record.speed_gap
-    return {
-        "truncation": record.truncation,
-        "speed": record.speed,
-        "sweeps": record.sweeps,
-        "last_update": record.last_update,
-        "omega": record.omega,
-        "floor_inactive": record.floor_inactive,
-        "speed_gap": gap if np.isfinite(gap) else None,
-    }
+def _json_safe(value):
+    """Copy of ``value`` that JSON can hold: tuples become lists and
+    non-finite floats ``null``."""
+    if isinstance(value, dict):
+        return {key: _json_safe(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(item) for item in value]
+    if isinstance(value, float) and not np.isfinite(value):
+        return None
+    return value
 
 
 def _write_manifest(outdir: Path, payload: dict):
@@ -89,7 +77,8 @@ def _write_manifest(outdir: Path, payload: dict):
         "created": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         **payload,
     }
-    (outdir / "manifest.json").write_text(json.dumps(payload, indent=2) + "\n")
+    text = json.dumps(_json_safe(payload), indent=2, allow_nan=False)
+    (outdir / "manifest.json").write_text(text + "\n")
 
 
 def write_solution(outdir, wave: TravelingWave, config_echo: dict):
@@ -134,13 +123,9 @@ def write_solution(outdir, wave: TravelingWave, config_echo: dict):
             "final_truncation": wave.final_truncation,
             "floor_inactive": wave.floor_inactive,
             "stop_reason": wave.stop_reason,
-            "grid": {"nx": grid.nx, "ny": grid.ny, "depth": grid.depth},
-            "residuals": {
-                "front": wave.residuals.front,
-                "outer": wave.residuals.outer,
-                "trace_deviation": wave.residuals.trace_deviation,
-            },
-            "stages": [_stage_entry(rec) for rec in wave.history],
+            "grid": asdict(grid),
+            "residuals": asdict(wave.residuals),
+            "stages": [asdict(rec) for rec in wave.history],
             "diagnostics_passed": diagnostics_passed,
             "artifacts": artifacts,
             "config": config_echo,
@@ -149,16 +134,17 @@ def write_solution(outdir, wave: TravelingWave, config_echo: dict):
 
 
 def write_failure_manifest(outdir, config_echo: dict, error: Exception):
-    """Record a run that did not converge (best effort, for post-mortems)."""
+    """Record a failed run for post-mortems: the error's type, message and
+    exit code, and the iteration count, last residual and recent history
+    when the error carries them."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
+    payload = {"status": "failed", "error": type(error).__name__}
+    for name in ("exit_code", "iterations", "residual", "history"):
+        if getattr(error, name, None) is not None:
+            payload[name] = getattr(error, name)
     _write_manifest(
-        outdir,
-        {
-            "status": "failed",
-            "reason": str(error),
-            "config": config_echo,
-        },
+        outdir, {**payload, "reason": str(error), "config": config_echo}
     )
 
 
@@ -208,48 +194,48 @@ def load_wave(outdir):
         raise ConfigurationError(
             f"{manifest_path}: stored run did not converge; nothing to diagnose"
         )
-    config = config_from_dict(manifest["config"])
+    try:
+        config = config_from_dict(manifest["config"])
+        grid = StripGrid(**manifest["grid"])
+        speed = float(manifest["speed"])
+        history = tuple(
+            StageRecord(**{**entry, "speed_gap": _gap(entry["speed_gap"])})
+            for entry in manifest["stages"]
+        )
+        residuals = ResidualNorms(**manifest["residuals"])
+        final_truncation = int(manifest["final_truncation"])
+        floor_inactive = bool(manifest["floor_inactive"])
+        stop_reason = manifest["stop_reason"]
+    except (KeyError, TypeError) as exc:
+        raise ConfigurationError(
+            f"{manifest_path}: missing or malformed entry ({exc})"
+        ) from None
 
-    grid = StripGrid(
-        nx=manifest["grid"]["nx"],
-        ny=manifest["grid"]["ny"],
-        depth=manifest["grid"]["depth"],
-    )
     front_cols = read_columns(outdir / "front.csv", FRONT_COLUMNS)
     trace_cols = read_columns(outdir / "trace.csv", TRACE_COLUMNS)
     field_grid, values = read_field(outdir / "field.dat")
     if (field_grid.nx, field_grid.ny) != (grid.nx, grid.ny):
         raise ConfigurationError("field.dat does not match the manifest grid")
 
-    speed = float(manifest["speed"])
-    field = TemperatureField(grid=grid, values=values, speed=speed)
-    history = tuple(
-        StageRecord(
-            truncation=entry["truncation"],
-            speed=entry["speed"],
-            sweeps=entry["sweeps"],
-            last_update=entry["last_update"],
-            omega=entry["omega"],
-            floor_inactive=entry["floor_inactive"],
-            speed_gap=np.inf if entry["speed_gap"] is None else entry["speed_gap"],
-        )
-        for entry in manifest["stages"]
-    )
-    residuals = ResidualNorms(**manifest["residuals"])
     wave = TravelingWave(
         speed=speed,
         psi=FrontProfile(front_cols["psi"]),
         theta=trace_cols["theta"],
         forcing=Forcing(front_cols["forcing"]),
-        field=field,
+        field=TemperatureField(grid=grid, values=values, speed=speed),
         grid=grid,
         kinetics=config.kinetics,
         rate=config.rate,
-        final_truncation=int(manifest["final_truncation"]),
-        floor_inactive=bool(manifest["floor_inactive"]),
-        stop_reason=manifest["stop_reason"],
+        final_truncation=final_truncation,
+        floor_inactive=floor_inactive,
+        stop_reason=stop_reason,
         converged=True,
         history=history,
         residuals=residuals,
     )
     return wave, config, manifest
+
+
+def _gap(value):
+    """The first stage's speed gap is infinite and stored as ``null``."""
+    return np.inf if value is None else value

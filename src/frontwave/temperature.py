@@ -32,7 +32,6 @@ __all__ = [
     "TemperatureField",
     "assemble_system",
     "solve_temperature",
-    "extract_trace",
     "gradient_energy",
 ]
 
@@ -252,11 +251,6 @@ def solve_temperature(psi, c: float, grid: StripGrid) -> TemperatureField:
     values = np.zeros((grid.nx + 1, grid.ny))
     values[1:] = solution.reshape(grid.nx, grid.ny)
     return TemperatureField(grid=grid, values=values, speed=float(c))
-
-
-def extract_trace(field: TemperatureField) -> np.ndarray:
-    """Temperature along the front line ``X = 0``."""
-    return field.trace
 
 
 def gradient_energy(field: TemperatureField, psi) -> float:

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import frontwave.cli as cli
-from frontwave import LinearSolverError
+import frontwave.coupler as coupler
+from frontwave import LinearSolverError, TemperatureField
 from frontwave.cli import main
 from frontwave.io import TRACE_COLUMNS, read_columns
 
@@ -106,6 +107,17 @@ def test_diagnose_missing_field_file(solved_run, tmp_path):
     assert main(["diagnose", "--in", str(copy)]) == 1
 
 
+def test_diagnose_manifest_missing_key_is_config_error(solved_run, tmp_path, caplog):
+    _, outdir = solved_run
+    copy = tmp_path / "keyless"
+    shutil.copytree(outdir, copy)
+    manifest = read_manifest(copy)
+    del manifest["stop_reason"]
+    (copy / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["diagnose", "--in", str(copy)]) == 1
+    assert "missing or malformed entry ('stop_reason')" in caplog.text
+
+
 def test_diagnose_missing_directory(tmp_path):
     assert main(["diagnose", "--in", str(tmp_path / "nowhere")]) == 1
 
@@ -127,6 +139,11 @@ def test_solve_rejects_misaligned_striation(tmp_path):
     code = main(["solve", "--config", write_config(tmp_path, doc),
                  "--out", str(tmp_path / "run")])
     assert code == 1
+    # Raised while sizing the grid inside the solve: it leaves a manifest.
+    manifest = read_manifest(tmp_path / "run")
+    assert manifest["status"] == "failed"
+    assert manifest["error"] == "ConfigurationError"
+    assert manifest["exit_code"] == 1
 
 
 def test_solve_rejects_broken_json(tmp_path):
@@ -149,6 +166,25 @@ def test_solve_linear_solver_failure_writes_failure_manifest(tmp_path, monkeypat
     assert manifest["status"] == "failed"
     assert "refinement stalled" in manifest["reason"]
     assert manifest["config"] == FLAT_DOC
+
+
+def test_negative_trace_is_numerical_failure_with_manifest(tmp_path, monkeypatch):
+    real_solve = coupler.solve_temperature
+
+    def cold_solve(psi, c, grid):
+        field = real_solve(psi, c, grid)
+        return TemperatureField(grid=grid, values=field.values - 1.5, speed=c)
+
+    monkeypatch.setattr(coupler, "solve_temperature", cold_solve)
+    outdir = tmp_path / "run"
+    code = main(["solve", "--config", write_config(tmp_path, FLAT_DOC),
+                 "--out", str(outdir)])
+    assert code == 2
+    manifest = read_manifest(outdir)
+    assert manifest["status"] == "failed"
+    assert manifest["error"] == "FrontwaveError"
+    assert manifest["exit_code"] == 2
+    assert "significantly negative" in manifest["reason"]
 
 
 def test_bad_log_level_is_config_error(tmp_path, monkeypatch):
@@ -231,7 +267,7 @@ def test_sweep_mixed_verdicts_exit_3(tmp_path, capsys):
                  "--axis", "solver.max_stages=2,8", "--out", str(outdir)])
     assert code == 3
     out = capsys.readouterr().out
-    assert "did not converge" in out
+    assert "solver.max_stages=2: solve failed [non-convergence]" in out
 
     table = (outdir / "sweep.csv").read_text().splitlines()
     assert len(table) == 3
@@ -239,6 +275,25 @@ def test_sweep_mixed_verdicts_exit_3(tmp_path, capsys):
     assert first[-1] == "non-convergence" and first[2] == ""
     assert second[-1] == "pass"
     assert read_manifest(outdir / "case_000")["status"] == "failed"
+    assert read_manifest(outdir / "case_001")["status"] == "converged"
+
+
+def test_sweep_row_with_configuration_error_does_not_abort_sweep(tmp_path, capsys):
+    doc = dict(FLAT_DOC, grid={"ny": 8, "nx": 256, "depth": 40.0})
+    outdir = tmp_path / "sweep"
+    code = main(["sweep", "--config", write_config(tmp_path, doc),
+                 "--axis", "grid.nx=16,256", "--out", str(outdir)])
+    assert code == 3
+    assert "grid.nx=16: solve failed [configuration-error]" in (
+        capsys.readouterr().out
+    )
+
+    table = read_table(outdir / "sweep.csv")
+    assert table["verdict"] == ["configuration-error", "pass"]
+    failed = read_manifest(outdir / "case_000")
+    assert failed["status"] == "failed"
+    assert failed["exit_code"] == 1
+    assert "advection cell number" in failed["reason"]
     assert read_manifest(outdir / "case_001")["status"] == "converged"
 
 

@@ -9,20 +9,20 @@ from frontwave import (
     ArrheniusKinetics,
     ConfigurationError,
     ConstantKinetics,
+    FrontwaveError,
     NonConvergenceError,
     PiecewiseConstantRate,
     SmoothRate,
     SolverConfig,
     build_forcing,
     front_residual,
-    picard_step,
     resolve_grid,
     solve_at_truncation,
     solve_traveling_wave,
     truncate_kinetics,
 )
 import frontwave.coupler as coupler
-from frontwave.coupler import PicardState
+from frontwave.coupler import _picard_step, _PicardState
 
 
 def flat_like(**overrides):
@@ -103,19 +103,20 @@ def test_build_forcing_clips_solver_noise_but_rejects_negative_trace():
     assert forcing.values[3] == 1.0
     bad = np.full(16, 0.5)
     bad[3] = -1e-6
-    with pytest.raises(ValueError):
+    with pytest.raises(FrontwaveError) as info:
         build_forcing(kinetics, rate, bad)
+    assert info.value.exit_code == 2
 
 
 def test_picard_fixed_point_invariance(flat_wave, flat_config):
     kinetics = truncate_kinetics(flat_config.kinetics, flat_wave.final_truncation)
-    state = PicardState(
+    state = _PicardState(
         speed=flat_wave.speed,
         psi=flat_wave.psi,
         theta=flat_wave.theta,
         field=flat_wave.field,
     )
-    out = picard_step(
+    out = _picard_step(
         state, kinetics, flat_config.rate, flat_wave.grid, 1.0, flat_config.front_tol
     )
     assert abs(out.speed - state.speed) <= 1e-8

@@ -1,6 +1,7 @@
 """Front geometry operators and the Newton front solver."""
 import numpy as np
 import pytest
+from scipy.sparse import linalg as sparse_linalg
 
 import oracles
 from frontwave import (
@@ -24,15 +25,15 @@ def nodes(n):
 
 @pytest.fixture
 def newton_solves(monkeypatch):
-    """Counts the dense linear solves, one per Newton step."""
+    """Counts the bordered linear solves, one per Newton step."""
     calls = []
-    solve = np.linalg.solve
+    solve = sparse_linalg.spsolve
 
     def counting(*args):
         calls.append(args[0].shape)
         return solve(*args)
 
-    monkeypatch.setattr(np.linalg, "solve", counting)
+    monkeypatch.setattr(sparse_linalg, "spsolve", counting)
     return calls
 
 

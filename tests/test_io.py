@@ -6,13 +6,14 @@ import pytest
 
 from frontwave import (
     ConfigurationError,
+    LinearSolverError,
+    NonConvergenceError,
     front_derivatives,
     load_wave,
     read_columns,
     read_field,
     run_all,
     write_failure_manifest,
-    write_field_csv,
     write_rows_csv,
     write_solution,
 )
@@ -97,19 +98,6 @@ def test_read_field_rejects_malformed_files(tmp_path):
         read_field(path)
 
 
-def test_field_csv_export(tmp_path, flat_wave):
-    path = tmp_path / "field.csv"
-    write_field_csv(path, flat_wave.field)
-    grid = flat_wave.grid
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert path.read_text().splitlines()[0] == "x,y,v"
-    assert data.shape == ((grid.nx + 1) * grid.ny, 3)
-    assert data[0, 0] == -grid.depth
-    assert np.array_equal(
-        data[:, 2].reshape(grid.nx + 1, grid.ny), flat_wave.field.values
-    )
-
-
 def test_failure_manifest_blocks_reload(tmp_path):
     outdir = tmp_path / "failed"
     write_failure_manifest(outdir, FLAT_ECHO, ValueError("stalled at stage 3"))
@@ -118,6 +106,50 @@ def test_failure_manifest_blocks_reload(tmp_path):
     assert "stalled" in manifest["reason"]
     with pytest.raises(ConfigurationError):
         load_wave(outdir)
+
+
+def test_failure_manifest_records_error_fields(tmp_path):
+    error = NonConvergenceError(
+        "stage budget exhausted",
+        iterations=7,
+        residual=float("inf"),
+        history=[(0.3, 1e-3), (0.31, float("nan"))],
+    )
+    write_failure_manifest(tmp_path / "stalled", FLAT_ECHO, error)
+    manifest = json.loads((tmp_path / "stalled" / "manifest.json").read_text())
+    assert manifest["error"] == "NonConvergenceError"
+    assert manifest["exit_code"] == 2
+    assert manifest["iterations"] == 7
+    assert manifest["residual"] is None
+    assert manifest["history"] == [[0.3, 1e-3], [0.31, None]]
+
+    error = LinearSolverError("refinement stalled", residual=1e-9)
+    write_failure_manifest(tmp_path / "linear", FLAT_ECHO, error)
+    manifest = json.loads((tmp_path / "linear" / "manifest.json").read_text())
+    assert manifest["error"] == "LinearSolverError"
+    assert manifest["exit_code"] == 2
+    assert manifest["residual"] == 1e-9
+    assert "iterations" not in manifest and "history" not in manifest
+
+
+@pytest.mark.parametrize(
+    "path",
+    ["config", "grid", "grid/depth", "speed", "stages", "stages/0/omega",
+     "stages/0/speed_gap", "residuals/front", "final_truncation",
+     "floor_inactive", "stop_reason"],
+)
+def test_manifest_missing_key_is_configuration_error(rundir, tmp_path, path):
+    manifest = json.loads((rundir / "manifest.json").read_text())
+    *parents, key = path.split("/")
+    node = manifest
+    for part in parents:
+        node = node[int(part)] if isinstance(node, list) else node[part]
+    del node[key]
+    for name in ("front.csv", "trace.csv", "field.dat"):
+        (tmp_path / name).write_bytes((rundir / name).read_bytes())
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ConfigurationError, match="missing or malformed"):
+        load_wave(tmp_path)
 
 
 def test_unrecognized_manifest_format_rejected(tmp_path):

@@ -8,7 +8,6 @@ from frontwave import (
     StripGrid,
     TemperatureField,
     assemble_system,
-    extract_trace,
     gradient_energy,
     solve_temperature,
 )
@@ -128,7 +127,7 @@ def test_flat_solve_matches_exponential_to_1e4():
     field = solve_temperature(flat_profile(8), 1.0, grid)
     error = np.abs(field.values - exact_flat_field(grid, 1.0))
     assert np.max(error) <= 1e-4
-    assert np.max(np.abs(extract_trace(field) - 1.0)) <= 1e-4
+    assert np.max(np.abs(field.trace - 1.0)) <= 1e-4
 
 
 def test_flat_solve_matches_exponential_at_measured_floor():
@@ -136,14 +135,14 @@ def test_flat_solve_matches_exponential_at_measured_floor():
     field = solve_temperature(flat_profile(8), 1.0, grid)
     error = np.abs(field.values - exact_flat_field(grid, 1.0))
     assert np.max(error) <= 8e-4
-    assert np.max(np.abs(extract_trace(field) - 1.0)) <= 8e-4
+    assert np.max(np.abs(field.trace - 1.0)) <= 8e-4
 
 
 def test_flat_solve_trace_integral_at_reference_speed():
     speed = 0.3678794
     grid = StripGrid(nx=512, ny=8, depth=40.0)
     field = solve_temperature(flat_profile(8), speed, grid)
-    integral = np.mean(extract_trace(field))
+    integral = np.mean(field.trace)
     assert integral == pytest.approx(1.0, abs=1e-4)
 
 
@@ -153,7 +152,7 @@ def test_trace_deviation_shrinks_under_refinement():
     for nx in (256, 512):
         grid = StripGrid(nx=nx, ny=8, depth=40.0)
         field = solve_temperature(flat_profile(8), speed, grid)
-        deviations.append(np.max(np.abs(extract_trace(field) - 1.0)))
+        deviations.append(np.max(np.abs(field.trace - 1.0)))
     assert deviations[0] / deviations[1] >= 3.0
 
 
@@ -191,7 +190,6 @@ def test_far_field_rows_are_negligible():
 def test_trace_accessors_agree():
     grid = StripGrid(nx=64, ny=8, depth=10.0)
     field = solve_temperature(flat_profile(8), 1.0, grid)
-    assert np.array_equal(extract_trace(field), field.trace)
     assert np.array_equal(field.trace, field.values[-1])
     assert field.trace.size == 8
 
