@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import copy
-import json
 import logging
 import math
 import os
@@ -29,7 +28,13 @@ from .config import config_from_dict, load_config
 from .coupler import resolve_grid, solve_traveling_wave
 from .diagnostics import run_all
 from .errors import ConfigurationError, FrontwaveError
-from .io import load_wave, write_failure_manifest, write_rows_csv, write_solution
+from .io import (
+    load_wave,
+    write_diagnostics,
+    write_failure_manifest,
+    write_rows_csv,
+    write_solution,
+)
 from .kinetics import truncate_kinetics
 
 logger = logging.getLogger("frontwave")
@@ -93,9 +98,7 @@ def cmd_solve(args) -> int:
 def cmd_diagnose(args) -> int:
     wave, _, _ = load_wave(Path(args.rundir))
     report = run_all(wave)
-    (Path(args.rundir) / "diagnostics.json").write_text(
-        json.dumps(report.as_dict(), indent=2) + "\n"
-    )
+    write_diagnostics(args.rundir, report)
     print(report.summary())
     return 0 if report.passed else 3
 
@@ -187,30 +190,35 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_convergence(args) -> int:
-    config, _ = load_config(args.config)
+    config, echo = load_config(args.config)
     if args.levels < 2:
         raise ConfigurationError("convergence needs at least two levels")
-    base = resolve_grid(config)
+    outdir = Path(args.out)
     waves = []
-    for level in range(args.levels):
-        case = replace(
-            config,
-            nx=base.nx << level,
-            ny=base.ny << level,
-            depth=base.depth,
-            run_diagnostics=False,
-        )
-        start = time.perf_counter()
-        wave = solve_traveling_wave(case)
-        waves.append(wave)
-        logger.info(
-            "level %d (%dx%d): speed %.12g in %.1f s",
-            level,
-            case.nx,
-            case.ny,
-            wave.speed,
-            time.perf_counter() - start,
-        )
+    try:
+        base = resolve_grid(config)
+        for level in range(args.levels):
+            case = replace(
+                config,
+                nx=base.nx << level,
+                ny=base.ny << level,
+                depth=base.depth,
+                run_diagnostics=False,
+            )
+            start = time.perf_counter()
+            wave = solve_traveling_wave(case)
+            waves.append(wave)
+            logger.info(
+                "level %d (%dx%d): speed %.12g in %.1f s",
+                level,
+                case.nx,
+                case.ny,
+                wave.speed,
+                time.perf_counter() - start,
+            )
+    except FrontwaveError as exc:
+        write_failure_manifest(outdir, echo, exc)
+        raise
 
     speeds = [wave.speed for wave in waves]
     r_lo, r_hi = config.rate.bounds
@@ -249,7 +257,6 @@ def cmd_convergence(args) -> int:
                 wave.residuals.trace_deviation,
             )
         )
-    outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     write_rows_csv(outdir / "convergence.csv", CONVERGENCE_COLUMNS, rows)
     if reference is not None:

@@ -161,26 +161,29 @@ def normalize_front(psi) -> FrontProfile:
     return FrontProfile(arr - arr.min())
 
 
+def periodic_band(n: int, legs) -> sparse.coo_matrix:
+    """``n x n`` band that wraps around: row ``j`` holds ``coeffs[j]`` in
+    column ``(j + shift) mod n`` for each ``(shift, coeffs)`` leg."""
+    rows = np.arange(n)
+    cols = np.concatenate([(rows + shift) % n for shift, _ in legs])
+    data = np.concatenate([np.broadcast_to(coeffs, n) for _, coeffs in legs])
+    return sparse.coo_matrix((data, (np.tile(rows, len(legs)), cols)), shape=(n, n))
+
+
 def _jacobian(H, dplus, slope, arc):
     """Bordered Newton matrix (sparse): the periodic tridiagonal derivative
     of the front residual, a column of ones for ``c`` and the ``mean(psi)``
     row."""
     n = H.size
     h = 1.0 / n
-    j = np.arange(n)
     flux = 1.0 / ((1.0 + dplus * dplus) * h * h)
     flux_down = np.roll(flux, 1)
     arc_term = H * slope / (2.0 * h * arc)
-    rows = np.concatenate([j, j, j, j, np.full(n, n)])
-    cols = np.concatenate([j, (j + 1) % n, (j - 1) % n, np.full(n, n), j])
-    data = np.concatenate([
-        -(flux + flux_down),
-        flux - arc_term,
-        flux_down + arc_term,
-        np.ones(n),
-        np.full(n, 1.0 / n),
-    ])
-    return sparse.csc_matrix((data, (rows, cols)), shape=(n + 1, n + 1))
+    band = periodic_band(
+        n, [(0, -(flux + flux_down)), (1, flux - arc_term), (-1, flux_down + arc_term)]
+    )
+    ones = sparse.coo_matrix(np.ones((n, 1)))
+    return sparse.bmat([[band, ones], [ones.T / n, None]], format="csc")
 
 
 def relax_front(forcing, initial=None, *, tol: float = 1e-8):

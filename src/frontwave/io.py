@@ -24,6 +24,7 @@ from .temperature import StripGrid, TemperatureField
 
 __all__ = [
     "write_solution",
+    "write_diagnostics",
     "write_failure_manifest",
     "write_rows_csv",
     "read_field",
@@ -109,9 +110,7 @@ def write_solution(outdir, wave: TravelingWave, config_echo: dict):
     artifacts = ["front.csv", "trace.csv", "field.dat"]
     diagnostics_passed = None
     if wave.report is not None:
-        (outdir / "diagnostics.json").write_text(
-            json.dumps(wave.report.as_dict(), indent=2) + "\n"
-        )
+        write_diagnostics(outdir, wave.report)
         artifacts.append("diagnostics.json")
         diagnostics_passed = wave.report.passed
 
@@ -131,6 +130,12 @@ def write_solution(outdir, wave: TravelingWave, config_echo: dict):
             "config": config_echo,
         },
     )
+
+
+def write_diagnostics(outdir, report):
+    """Write a diagnostics report to ``diagnostics.json`` in ``outdir``."""
+    text = json.dumps(report.as_dict(), indent=2)
+    (Path(outdir) / "diagnostics.json").write_text(text + "\n")
 
 
 def write_failure_manifest(outdir, config_echo: dict, error: Exception):

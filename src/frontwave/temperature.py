@@ -15,6 +15,11 @@ condition, with the centered difference de-biased by the leading-order
 growth factor of the near-boundary profile; this keeps the discrete trace
 slightly below its continuum value instead of above, so maximum-principle
 style bounds survive discretization.
+
+The operator is block-tridiagonal in X with periodic bands in Y: each node
+line couples to itself and its X-neighbours through bands that wrap around
+in Y (three-point in the interior, five-point on the flux row), and is
+assembled as a sum of ``kron(X-offset, Y-band)`` terms.
 """
 from __future__ import annotations
 
@@ -25,7 +30,7 @@ from scipy import sparse
 from scipy.sparse import linalg as sparse_linalg
 
 from .errors import ConfigurationError, LinearSolverError
-from .front import FrontProfile, check_cell_count, front_derivatives
+from .front import FrontProfile, check_cell_count, front_derivatives, periodic_band
 
 __all__ = [
     "StripGrid",
@@ -107,15 +112,8 @@ class TemperatureField:
         return self.values[-1]
 
 
-def _front_coefficients(psi: FrontProfile, c: float):
-    slope, second = front_derivatives(psi)
-    d = 1.0 + slope * slope
-    a = c + second
-    return slope, d, a
-
-
 def assemble_system(psi: FrontProfile, c: float, grid: StripGrid):
-    """Build the sparse operator and right-hand side for the strip problem.
+    """Build the sparse (CSC) operator and right-hand side for the strip problem.
 
     Unknowns are the nodes ``i = 1..nx`` (the cold-end Dirichlet row is
     eliminated), numbered row-major as ``(i - 1) * ny + j``.
@@ -138,7 +136,9 @@ def assemble_system(psi: FrontProfile, c: float, grid: StripGrid):
         )
 
     nx, ny = grid.nx, grid.ny
-    slope, d, a = _front_coefficients(psi, c)
+    slope, second = front_derivatives(psi)
+    d = 1.0 + slope * slope
+    a = c + second
 
     w = a / (2.0 * hx) - d / (hx * hx)
     uu = -a / (2.0 * hx) - d / (hx * hx)
@@ -147,57 +147,40 @@ def assemble_system(psi: FrontProfile, c: float, grid: StripGrid):
     gamma = 1.0 + (a * hx / d) ** 2 / 6.0
     beta = 2.0 * hx * gamma / d
 
-    J = np.arange(ny)
-    jp = (J + 1) % ny
-    jm = (J - 1) % ny
-    jp2 = (J + 2) % ny
-    jm2 = (J - 2) % ny
-
-    rows, cols, vals = [], [], []
-
-    def add(i_rows, j_cols, coeffs, i_off):
-        """One stencil leg: rows (i, J) -> columns (i + i_off, j_cols)."""
-        r = ((i_rows[:, None] - 1) * ny + J[None, :]).ravel()
-        col = ((i_rows[:, None] + i_off - 1) * ny + j_cols[None, :]).ravel()
-        v = np.broadcast_to(coeffs, (i_rows.size, ny)).ravel()
-        rows.append(r)
-        cols.append(col)
-        vals.append(v)
-
-    # Interior rows i = 1..nx-1; legs reaching i-1 = 0 hit the Dirichlet row
-    # and are dropped.
-    inner = np.arange(1, nx)
-    inner_up = np.arange(2, nx)
-    add(inner, J, w, +1)
-    add(inner_up, J, uu, -1)
-    add(inner, J, diag, 0)
-    add(inner, jp, np.full(ny, -1.0 / (hy * hy)), 0)
-    add(inner, jm, np.full(ny, -1.0 / (hy * hy)), 0)
-    add(inner, jp, m4, +1)
-    add(inner, jm, -m4, +1)
-    add(inner_up, jp, -m4, -1)
-    add(inner_up, jm, m4, -1)
+    lap_y = -1.0 / (hy * hy)
+    # Interior rows i = 1..nx-1, one Y-band per X-offset; eye() drops the
+    # leg of row 1 that reaches the Dirichlet row i = 0.  kron is asked for
+    # CSR: by default it returns BSR, whose dense blocks store zeros.
+    interior = sum(
+        sparse.kron(sparse.eye(nx - 1, nx, k), periodic_band(ny, legs), "csr")
+        for k, legs in (
+            (0, [(0, diag), (1, lap_y), (-1, lap_y)]),
+            (1, [(0, w), (1, m4), (-1, -m4)]),
+            (-1, [(0, uu), (1, -m4), (-1, m4)]),
+        )
+    )
 
     # Flux row i = nx: ghost line eliminated through the de-biased centered
     # flux; the ghost values of the y-neighbors enter through the mixed term
     # and widen the row to j +/- 2.
-    last = np.array([nx])
     mix = beta * slope / (2.0 * hy)
-    add(last, J, diag - m4 * (mix[jp] + mix[jm]), 0)
-    add(last, J, -2.0 * d / (hx * hx), -1)
-    add(last, jp, -1.0 / (hy * hy) + w * mix, 0)
-    add(last, jm, -1.0 / (hy * hy) - w * mix, 0)
-    add(last, jp2, m4 * mix[jp], 0)
-    add(last, jm2, m4 * mix[jm], 0)
+    mix_up, mix_down = np.roll(mix, -1), np.roll(mix, 1)
+    flux_band = periodic_band(ny, [
+        (0, diag - m4 * (mix_up + mix_down)),
+        (1, lap_y + w * mix),
+        (-1, lap_y - w * mix),
+        (2, m4 * mix_up),
+        (-2, m4 * mix_down),
+    ])
+    back = sparse.diags(-2.0 * d / (hx * hx))
+    flux = sparse.kron(sparse.eye(1, nx, nx - 1), flux_band, "csr") + sparse.kron(
+        sparse.eye(1, nx, nx - 2), back, "csr"
+    )
+    matrix = sparse.vstack([interior, flux], format="csc")
 
-    n = nx * ny
-    matrix = sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    ).tocsr()
-
-    rhs = np.zeros(n)
-    rhs[(nx - 1) * ny + J] = -c * (w * beta + m4 * (beta[jp] - beta[jm]))
+    rhs = np.zeros(nx * ny)
+    beta_dy = np.roll(beta, -1) - np.roll(beta, 1)
+    rhs[(nx - 1) * ny:] = -c * (w * beta + m4 * beta_dy)
     return matrix, rhs
 
 
@@ -225,11 +208,9 @@ def solve_temperature(psi, c: float, grid: StripGrid) -> TemperatureField:
     Raises:
         LinearSolverError: if factorization fails or the residual stagnates.
     """
-    if not isinstance(psi, FrontProfile):
-        psi = FrontProfile(np.asarray(psi, dtype=float))
     matrix, rhs = assemble_system(psi, c, grid)
     try:
-        lu = sparse_linalg.splu(matrix.tocsc())
+        lu = sparse_linalg.splu(matrix)
     except RuntimeError as exc:
         raise LinearSolverError(f"sparse factorization failed: {exc}") from exc
 
@@ -241,7 +222,7 @@ def solve_temperature(psi, c: float, grid: StripGrid) -> TemperatureField:
             break
         solution = solution + lu.solve(rhs - matrix @ solution)
         relative = _backward_error(matrix, abs_matrix, solution, rhs)
-    if relative > _RESIDUAL_TOL:
+    if not relative <= _RESIDUAL_TOL:
         raise LinearSolverError(
             "linear solve failed to reach the residual target "
             f"(backward error {relative:.3e})",

@@ -362,6 +362,20 @@ def test_convergence_study_striated_order(tmp_path):
     assert as_floats(table["order"])[0] >= 1.0
 
 
+def test_convergence_failure_writes_failure_manifest(tmp_path):
+    doc = dict(FLAT_DOC, solver={"max_stages": 1})
+    outdir = tmp_path / "conv"
+    code = main(["convergence", "--config", write_config(tmp_path, doc),
+                 "--levels", "2", "--out", str(outdir)])
+    assert code == 2
+    manifest = read_manifest(outdir)
+    assert manifest["status"] == "failed"
+    assert manifest["error"] == "NonConvergenceError"
+    assert manifest["exit_code"] == 2
+    assert manifest["config"] == doc
+    assert not (outdir / "convergence.csv").exists()
+
+
 def test_convergence_rejects_single_level(tmp_path):
     assert main(["convergence", "--config", write_config(tmp_path, FLAT_DOC),
                  "--levels", "1", "--out", str(tmp_path / "conv")]) == 1

@@ -15,6 +15,7 @@ from frontwave import (
     normalize_front,
     relax_front,
 )
+from frontwave.front import _jacobian, _stencil
 
 TWO_PI = 2.0 * np.pi
 
@@ -198,6 +199,31 @@ def test_relax_matches_shooting_oracle_on_cosine_forcing():
     for errors in (speed_errors, profile_errors):
         for coarse, fine in zip(errors, errors[1:]):
             assert 3.5 <= coarse / fine <= 4.5
+
+
+def test_newton_jacobian_matches_finite_differences():
+    """The bordered matrix is the derivative of the Newton equations
+    ``(curvature + c - H * arc, mean(psi))`` with respect to ``(psi, c)``."""
+    n = 16
+    y = nodes(n)
+    H = 1.0 + 0.5 * np.cos(TWO_PI * y)
+
+    def equations(x):
+        psi, c = x[:n], x[n]
+        slope, _ = front_derivatives(psi)
+        arc = np.sqrt(1.0 + slope * slope)
+        return np.append(curvature_term(psi) + c - H * arc, np.mean(psi))
+
+    psi = 0.2 * np.cos(TWO_PI * y) + 0.05 * np.sin(2.0 * TWO_PI * y)
+    dplus, slope, _, _ = _stencil(psi)
+    jac = _jacobian(H, dplus, slope, np.sqrt(1.0 + slope * slope)).toarray()
+    x, eps = np.append(psi, 0.9), 1e-6
+    fd = np.column_stack([
+        (equations(x + eps * e) - equations(x - eps * e)) / (2.0 * eps)
+        for e in np.eye(n + 1)
+    ])
+    assert jac.shape == (n + 1, n + 1)
+    np.testing.assert_allclose(jac, fd, rtol=0.0, atol=1e-7 * np.max(np.abs(jac)))
 
 
 def test_relax_converges_in_few_newton_steps(newton_solves):

@@ -2,12 +2,15 @@
 import numpy as np
 import pytest
 
+import frontwave.temperature as temperature
 from frontwave import (
     ConfigurationError,
     FrontProfile,
+    LinearSolverError,
     StripGrid,
     TemperatureField,
     assemble_system,
+    front_derivatives,
     gradient_energy,
     solve_temperature,
 )
@@ -81,6 +84,86 @@ def test_flat_assembly_has_no_mixed_coupling():
                 if not (1 <= ii <= 32):
                     continue
                 assert dense[index(i, j), index(ii, (j + dj) % ny)] == 0.0
+
+    # nor are they stored: exactly the 5-point pattern, less the Dirichlet
+    # leg of the first row block and the X+1 leg of the flux row
+    per_row = np.diff(matrix.tocsr().indptr).reshape(32, ny)
+    assert np.all(per_row[[0, -1]] == 4) and np.all(per_row[1:-1] == 5)
+    assert matrix.nnz == 5 * 32 * ny - 2 * ny
+
+
+def dense_strip_system(psi, c, grid):
+    """Plain-loop reference: the nine-point stencil at every node
+    ``i = 1..nx``, with ``v = 0`` at ``i = 0`` and the ghost node ``i = nx + 1``
+    eliminated through the de-biased flux condition
+    ``g_j = v[nx-1, j] + beta_j * (c + psi_y v_Y)``."""
+    nx, ny, hx, hy = grid.nx, grid.ny, grid.hx, grid.hy
+    slope, second = front_derivatives(psi)
+    matrix = np.zeros((nx * ny, nx * ny))
+    rhs = np.zeros(nx * ny)
+
+    def col(i, j):
+        return (i - 1) * ny + j % ny
+
+    for i in range(1, nx + 1):
+        for j in range(ny):
+            d, a, m4 = 1.0 + slope[j] ** 2, c + second[j], slope[j] / (2 * hx * hy)
+            stencil = {
+                (0, 0): 2 * d / hx**2 + 2 / hy**2,
+                (0, 1): -1 / hy**2,
+                (0, -1): -1 / hy**2,
+                (1, 0): a / (2 * hx) - d / hx**2,
+                (-1, 0): -a / (2 * hx) - d / hx**2,
+                (1, 1): m4,
+                (1, -1): -m4,
+                (-1, 1): -m4,
+                (-1, -1): m4,
+            }
+            row = col(i, j)
+            for (di, dj), coeff in stencil.items():
+                ii, jj = i + di, j + dj
+                if ii == 0:
+                    continue
+                if ii <= nx:
+                    matrix[row, col(ii, jj)] += coeff
+                    continue
+                k = jj % ny
+                dk, ak = 1.0 + slope[k] ** 2, c + second[k]
+                beta = 2 * hx * (1 + (ak * hx / dk) ** 2 / 6) / dk
+                matrix[row, col(nx - 1, k)] += coeff
+                matrix[row, col(nx, k + 1)] += coeff * beta * slope[k] / (2 * hy)
+                matrix[row, col(nx, k - 1)] -= coeff * beta * slope[k] / (2 * hy)
+                rhs[row] -= coeff * beta * c
+    return matrix, rhs
+
+
+def test_curved_assembly_matches_plain_loop_reference():
+    ny = 8
+    y = np.arange(ny) / ny
+    psi = FrontProfile(
+        0.3 * (1.0 - np.cos(2.0 * np.pi * y)) + 0.1 * (1.0 + np.sin(4.0 * np.pi * y))
+    )
+    grid = StripGrid(nx=16, ny=ny, depth=4.0)
+    matrix, rhs = assemble_system(psi, 0.7, grid)
+    reference, reference_rhs = dense_strip_system(psi, 0.7, grid)
+    # the flux row reaches j +/- 2 through the ghost values of its neighbors
+    flux_row = reference[(grid.nx - 1) * ny + 3]
+    assert np.count_nonzero(flux_row[-ny:]) == 5
+    scale = np.max(np.abs(reference))
+    np.testing.assert_allclose(matrix.toarray(), reference, rtol=0, atol=1e-13 * scale)
+    np.testing.assert_allclose(rhs, reference_rhs, rtol=1e-13, atol=0)
+
+
+def test_nonfinite_linear_solve_is_linear_solver_error(monkeypatch):
+    class NanLU:
+        def solve(self, rhs):
+            return np.full_like(rhs, np.nan)
+
+    monkeypatch.setattr(temperature.sparse_linalg, "splu", lambda matrix: NanLU())
+    grid = StripGrid(nx=64, ny=8, depth=10.0)
+    with pytest.raises(LinearSolverError) as info:
+        solve_temperature(flat_profile(8), 1.0, grid)
+    assert info.value.exit_code == 2
 
 
 def test_flat_solution_is_transverse_invariant():
