@@ -154,12 +154,33 @@ def test_curved_assembly_matches_plain_loop_reference():
     np.testing.assert_allclose(rhs, reference_rhs, rtol=1e-13, atol=0)
 
 
+def cosine_front(ny):
+    return FrontProfile(0.3 * (1.0 - np.cos(2.0 * np.pi * np.arange(ny) / ny)))
+
+
+def test_curved_solve_matches_dense_solve():
+    grid = StripGrid(nx=32, ny=8, depth=8.0)
+    matrix, rhs = assemble_system(cosine_front(8), 0.5, grid)
+    reference = np.linalg.solve(matrix.toarray(), rhs)
+    field = solve_temperature(cosine_front(8), 0.5, grid)
+    solution = field.values[1:].ravel()
+    assert np.linalg.norm(solution - reference) <= 1e-12 * np.linalg.norm(reference)
+
+
+def test_curved_assembly_is_canonical_csc_without_stored_zeros():
+    grid = StripGrid(nx=32, ny=8, depth=8.0)
+    matrix, _ = assemble_system(cosine_front(8), 0.5, grid)
+    assert matrix.format == "csc"
+    assert matrix.has_canonical_format
+    assert np.all(matrix.data != 0)
+
+
 def test_nonfinite_linear_solve_is_linear_solver_error(monkeypatch):
     class NanLU:
         def solve(self, rhs):
             return np.full_like(rhs, np.nan)
 
-    monkeypatch.setattr(temperature.sparse_linalg, "splu", lambda matrix: NanLU())
+    monkeypatch.setattr(temperature.sparse_linalg, "splu", lambda matrix, **options: NanLU())
     grid = StripGrid(nx=64, ny=8, depth=10.0)
     with pytest.raises(LinearSolverError) as info:
         solve_temperature(flat_profile(8), 1.0, grid)
