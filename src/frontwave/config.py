@@ -106,14 +106,6 @@ def parse_rate(spec: dict, section: str = "rate"):
 
 
 _GRID_FIELDS = ("ny", "nx", "depth")
-_SOLVER_FIELDS = (
-    "damping",
-    "outer_tol",
-    "max_outer_iter",
-    "front_tol",
-    "initial_truncation",
-    "max_stages",
-)
 
 
 def config_from_dict(data: dict) -> SolverConfig:
@@ -136,13 +128,9 @@ def config_from_dict(data: dict) -> SolverConfig:
         kwargs["depth"] = _number("grid", grid, "depth")
 
     solver = data.get("solver", {})
-    _check_fields("solver", solver, (), _SOLVER_FIELDS)
-    for key in ("damping", "outer_tol", "front_tol"):
-        if key in solver:
-            kwargs[key] = _number("solver", solver, key)
-    for key in ("max_outer_iter", "initial_truncation", "max_stages"):
-        if key in solver:
-            kwargs[key] = _integer("solver", solver, key)
+    _check_fields("solver", solver, (), ("outer_tol",))
+    if "outer_tol" in solver:
+        kwargs["outer_tol"] = _number("solver", solver, "outer_tol")
 
     diag = data.get("diagnostics", {})
     _check_fields("diagnostics", diag, (), ("enabled",))

@@ -5,10 +5,12 @@ The traveling wave is a fixed point of the loop
     trace -> forcing H = R(y) * K(trace) -> front (speed, profile) ->
     temperature field -> trace,
 
-iterated with optional damping on the profile.  Because the reaction rate may
-vanish in the cold limit, the loop runs on a floored rate law ``max(K, 1/n)``
-and doubles ``n`` until the floor no longer binds along the front and the
-speed stops moving between stages.
+iterated undamped at first.  A stage whose sweeps diverge or run out of
+budget is retried from its starting state with the profile update damped by
+1/2, 1/4 and then 1/8.  Because the reaction rate may vanish in the cold
+limit, the loop runs on a floored rate law ``max(K, 1/n)`` and doubles ``n``
+until the floor no longer binds along the front and the speed stops moving
+between stages.
 """
 from __future__ import annotations
 
@@ -52,6 +54,13 @@ logger = logging.getLogger("frontwave")
 
 _EDGE_ALIGN_TOL = 1e-9
 
+# Continuation budgets: the first truncation ``n``, the damping factors a
+# stage tries in turn, the sweeps per attempt and the stages per solve.
+_FIRST_TRUNCATION = 1
+_DAMPING_LADDER = (1.0, 0.5, 0.25, 0.125)
+_MAX_SWEEPS = 200
+_MAX_STAGES = 24
+
 
 class _OuterLoopError(NonConvergenceError):
     """The outer sweeps diverged or ran out of budget: the one failure that
@@ -73,12 +82,7 @@ class SolverConfig:
     ny: int = 64
     nx: Optional[int] = None
     depth: Optional[float] = None
-    damping: float = 1.0
     outer_tol: float = 1e-6
-    max_outer_iter: int = 200
-    front_tol: float = 1e-8
-    initial_truncation: int = 1
-    max_stages: int = 24
     run_diagnostics: bool = True
 
     def __post_init__(self):
@@ -95,21 +99,8 @@ class SolverConfig:
             np.isfinite(self.depth) and self.depth > 0.0
         ):
             raise ConfigurationError("depth must be positive when given")
-        if not (0.0 < self.damping <= 1.0):
-            raise ConfigurationError("damping must lie in (0, 1]")
         if not (np.isfinite(self.outer_tol) and self.outer_tol > 0.0):
             raise ConfigurationError("outer_tol must be positive")
-        if self.max_outer_iter < 1:
-            raise ConfigurationError("max_outer_iter must be >= 1")
-        if not (np.isfinite(self.front_tol) and self.front_tol > 0.0):
-            raise ConfigurationError("front_tol must be positive")
-        if (
-            not isinstance(self.initial_truncation, (int, np.integer))
-            or self.initial_truncation < 1
-        ):
-            raise ConfigurationError("initial_truncation must be an integer >= 1")
-        if self.max_stages < 1:
-            raise ConfigurationError("max_stages must be >= 1")
 
 
 class _PicardState(NamedTuple):
@@ -171,8 +162,7 @@ class TravelingWave:
 
 def _stage_speed_cap(config: SolverConfig) -> float:
     _, r_hi = config.rate.bounds
-    floor0 = 1.0 / config.initial_truncation
-    return r_hi * max(config.kinetics.supremum, floor0)
+    return r_hi * max(config.kinetics.supremum, 1.0 / _FIRST_TRUNCATION)
 
 
 def resolve_grid(config: SolverConfig) -> StripGrid:
@@ -232,11 +222,10 @@ def _picard_step(
     rate: CombustionRate,
     grid: StripGrid,
     omega: float,
-    front_tol: float,
 ) -> _PicardState:
     """One damped sweep of the outer loop."""
     forcing = build_forcing(kinetics, rate, state.theta)
-    speed, relaxed = relax_front(forcing, state.psi, tol=front_tol)
+    speed, relaxed = relax_front(forcing, state.psi)
     blended = (1.0 - omega) * state.psi.values + omega * relaxed.values
     psi_new = normalize_front(blended)
     field = solve_temperature(psi_new, speed, grid)
@@ -258,7 +247,7 @@ def solve_at_truncation(
     n: int,
     grid: Optional[StripGrid] = None,
     start: Optional[_PicardState] = None,
-    omega: Optional[float] = None,
+    omega: float = 1.0,
 ):
     """Iterate the outer loop to a fixed point for the floor-``1/n`` law.
 
@@ -276,11 +265,10 @@ def solve_at_truncation(
     if grid is None:
         grid = resolve_grid(config)
     state = start if start is not None else _initial_state(config, grid)
-    omega = config.damping if omega is None else omega
     updates = []
     speeds = []
-    for sweep in range(1, config.max_outer_iter + 1):
-        new = _picard_step(state, kinetics, rate, grid, omega, config.front_tol)
+    for sweep in range(1, _MAX_SWEEPS + 1):
+        new = _picard_step(state, kinetics, rate, grid, omega)
         delta = float(
             np.max(np.abs(new.psi.values - state.psi.values))
             + abs(new.speed - state.speed)
@@ -299,13 +287,13 @@ def solve_at_truncation(
             return state, sweep, updates
     raise _OuterLoopError(
         "outer iteration exhausted its sweep budget",
-        iterations=config.max_outer_iter,
+        iterations=_MAX_SWEEPS,
         residual=updates[-1],
         history=list(zip(speeds[-8:], updates[-8:])),
     )
 
 
-def _finalize(state, kinetics_n, config, rate, grid):
+def _finalize(state, kinetics_n, rate, grid):
     """Re-anchor speed, forcing, and trace on one self-consistent state.
 
     Two undamped sweeps shrink the one-sweep lag left by the stopping test,
@@ -313,7 +301,7 @@ def _finalize(state, kinetics_n, config, rate, grid):
     quoted speed from that forcing, making the speed identity exact.
     """
     for _ in range(2):
-        state = _picard_step(state, kinetics_n, rate, grid, 1.0, config.front_tol)
+        state = _picard_step(state, kinetics_n, rate, grid, 1.0)
     forcing = build_forcing(kinetics_n, rate, state.theta)
     speed = compute_speed(forcing, state.psi)
     return state, forcing, speed
@@ -332,23 +320,22 @@ def solve_traveling_wave(config: SolverConfig) -> TravelingWave:
     base = config.kinetics
     rate = config.rate
     state = _initial_state(config, grid)
-    n = config.initial_truncation
+    n = _FIRST_TRUNCATION
     prev_speed = None
     history = []
     stop_reason = None
     floor_inactive = False
 
-    for _ in range(config.max_stages):
-        omega = config.damping
+    for _ in range(_MAX_STAGES):
         entry = state
-        for attempt in range(4):
+        for omega in _DAMPING_LADDER:
             try:
                 state, sweeps, updates = solve_at_truncation(
                     config, n, grid=grid, start=entry, omega=omega
                 )
                 break
             except _OuterLoopError as exc:
-                if attempt == 3:
+                if omega == _DAMPING_LADDER[-1]:
                     raise NonConvergenceError(
                         f"stage n={n} failed to converge even at damping "
                         f"{omega:.3g}",
@@ -356,10 +343,7 @@ def solve_traveling_wave(config: SolverConfig) -> TravelingWave:
                         residual=exc.residual,
                         history=exc.history,
                     ) from exc
-                omega *= 0.5
-                logger.info(
-                    "stage n=%d retrying with damping %.3g", n, omega
-                )
+                logger.info("stage n=%d failed at damping %.3g; retrying", n, omega)
 
         floor = 1.0 / n
         base_on_trace = base.evaluate(np.maximum(state.theta, 0.0))
@@ -404,13 +388,13 @@ def solve_traveling_wave(config: SolverConfig) -> TravelingWave:
     else:
         raise NonConvergenceError(
             "continuation exhausted its stage budget before the speed settled",
-            iterations=config.max_stages,
+            iterations=_MAX_STAGES,
             residual=history[-1].speed_gap if history else None,
             history=[rec.speed for rec in history][-8:],
         )
 
     kinetics_n = truncate_kinetics(base, n)
-    state, forcing, speed = _finalize(state, kinetics_n, config, rate, grid)
+    state, forcing, speed = _finalize(state, kinetics_n, rate, grid)
     floor_inactive = bool(
         np.min(base.evaluate(np.maximum(state.theta, 0.0))) >= 1.0 / n
     )

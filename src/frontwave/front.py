@@ -31,7 +31,9 @@ __all__ = [
 ]
 
 
-# Caps per front solve; a converging solve takes a handful of full steps.
+# Stopping tolerance and caps per front solve; a converging solve takes a
+# handful of full steps.
+_FRONT_TOL = 1e-8
 _MAX_NEWTON_STEPS = 50
 _MAX_HALVINGS = 30
 
@@ -186,18 +188,17 @@ def _jacobian(H, dplus, slope, arc):
     return sparse.bmat([[band, ones], [ones.T / n, None]], format="csc")
 
 
-def relax_front(forcing, initial=None, *, tol: float = 1e-8):
+def relax_front(forcing, initial=None):
     """Solve the traveling-front balance for a frozen forcing.
 
     Damped Newton on the bordered system: unknowns ``(psi, c)``, equations
     the front residual at the nodes plus a row holding ``mean(psi)`` fixed.
     Each step is halved until the norm of the equations decreases; the solve
-    stops when ``max|curvature + mean(H * arc) - H * arc| < tol``.
+    stops when ``max|curvature + mean(H * arc) - H * arc| < 1e-8``.
 
     Args:
         forcing: ``Forcing`` (or array) of nonnegative strengths.
         initial: optional warm-start profile; defaults to a flat front.
-        tol: stopping tolerance on the residual.
 
     Returns:
         Tuple ``(speed, profile)`` with the profile min-normalized and the
@@ -209,8 +210,6 @@ def relax_front(forcing, initial=None, *, tol: float = 1e-8):
             within the step budget, or no step length decreases it.
     """
     H = _periodic_values(forcing, "forcing")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
     if initial is None:
         psi = np.zeros_like(H)
     else:
@@ -233,7 +232,7 @@ def relax_front(forcing, initial=None, *, tol: float = 1e-8):
 
     psi, c, equations, residual, diffs = evaluate(psi)
     history = [residual]
-    while residual >= tol and len(history) <= _MAX_NEWTON_STEPS:
+    while residual >= _FRONT_TOL and len(history) <= _MAX_NEWTON_STEPS:
         delta = sparse_linalg.spsolve(_jacobian(H, *diffs), -equations)
         norm = np.linalg.norm(equations)
         for halving in range(_MAX_HALVINGS):
@@ -245,7 +244,7 @@ def relax_front(forcing, initial=None, *, tol: float = 1e-8):
             break  # no step length decreases the equations
         psi, c, equations, residual, diffs = trial
         history.append(residual)
-    if residual >= tol:
+    if residual >= _FRONT_TOL:
         raise NonConvergenceError(
             "front Newton solve did not reach tolerance",
             iterations=len(history) - 1,

@@ -193,6 +193,8 @@ def load_wave(outdir):
     outdir = Path(outdir)
     manifest_path = outdir / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
+    if not isinstance(manifest, dict):
+        raise ConfigurationError(f"{manifest_path}: top level must be an object")
     if manifest.get("format") != MANIFEST_FORMAT:
         raise ConfigurationError(f"{manifest_path}: unrecognized manifest format")
     if manifest.get("status") != "converged":

@@ -153,6 +153,20 @@ def test_solve_rejects_broken_json(tmp_path):
                  "--out", str(tmp_path / "run")]) == 1
 
 
+def test_solve_rejects_removed_solver_keys(tmp_path, caplog):
+    for key in ("damping", "front_tol", "initial_truncation", "max_outer_iter",
+                "max_stages"):
+        caplog.clear()
+        doc = dict(FLAT_DOC, solver={key: 1})
+        code = main(["solve", "--config", write_config(tmp_path, doc),
+                     "--out", str(tmp_path / "run")])
+        assert code == 1
+        [record] = caplog.records
+        assert "\n" not in record.getMessage()
+        assert f"unknown field(s) ['{key}']" in record.getMessage()
+        assert not (tmp_path / "run").exists()
+
+
 def test_solve_linear_solver_failure_writes_failure_manifest(tmp_path, monkeypatch):
     def failing_solve(config):
         raise LinearSolverError("refinement stalled", residual=1e-9)
@@ -261,13 +275,16 @@ def test_sweep_rejects_bad_axes(tmp_path):
                  "--out", out]) == 1
 
 
-def test_sweep_mixed_verdicts_exit_3(tmp_path, capsys):
+def test_sweep_mixed_verdicts_exit_3(tmp_path, capsys, monkeypatch):
+    # Three sweeps per attempt settle the flat stages at outer_tol=1e-4 but
+    # not at 1e-12, which needs four at n=4.
+    monkeypatch.setattr(coupler, "_MAX_SWEEPS", 3)
     outdir = tmp_path / "sweep"
     code = main(["sweep", "--config", write_config(tmp_path, FLAT_DOC),
-                 "--axis", "solver.max_stages=2,8", "--out", str(outdir)])
+                 "--axis", "solver.outer_tol=1e-12,1e-4", "--out", str(outdir)])
     assert code == 3
     out = capsys.readouterr().out
-    assert "solver.max_stages=2: solve failed [non-convergence]" in out
+    assert "solver.outer_tol=1e-12: solve failed [non-convergence]" in out
 
     table = (outdir / "sweep.csv").read_text().splitlines()
     assert len(table) == 3
@@ -362,17 +379,17 @@ def test_convergence_study_striated_order(tmp_path):
     assert as_floats(table["order"])[0] >= 1.0
 
 
-def test_convergence_failure_writes_failure_manifest(tmp_path):
-    doc = dict(FLAT_DOC, solver={"max_stages": 1})
+def test_convergence_failure_writes_failure_manifest(tmp_path, monkeypatch):
+    monkeypatch.setattr(coupler, "_MAX_STAGES", 1)
     outdir = tmp_path / "conv"
-    code = main(["convergence", "--config", write_config(tmp_path, doc),
+    code = main(["convergence", "--config", write_config(tmp_path, FLAT_DOC),
                  "--levels", "2", "--out", str(outdir)])
     assert code == 2
     manifest = read_manifest(outdir)
     assert manifest["status"] == "failed"
     assert manifest["error"] == "NonConvergenceError"
     assert manifest["exit_code"] == 2
-    assert manifest["config"] == doc
+    assert manifest["config"] == FLAT_DOC
     assert not (outdir / "convergence.csv").exists()
 
 

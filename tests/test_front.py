@@ -15,6 +15,7 @@ from frontwave import (
     normalize_front,
     relax_front,
 )
+import frontwave.front as front
 from frontwave.front import _jacobian, _stencil
 
 TWO_PI = 2.0 * np.pi
@@ -250,10 +251,10 @@ def test_relax_warm_start_from_converged_profile_takes_no_steps(newton_solves):
 def test_relax_output_satisfies_speed_identity_and_residual_bound():
     y = nodes(64)
     forcing = Forcing(1.0 + 0.5 * np.cos(TWO_PI * y))
-    tol = 1e-8
-    speed, psi = relax_front(forcing, tol=tol)
+    speed, psi = relax_front(forcing)
     assert abs(speed - compute_speed(forcing, psi)) <= 1e-12
-    assert np.max(np.abs(front_residual(psi, speed, forcing))) <= 10.0 * tol
+    residual = front_residual(psi, speed, forcing)
+    assert np.max(np.abs(residual)) <= 10.0 * front._FRONT_TOL
 
 
 def test_relax_shift_equivariance():
@@ -266,22 +267,16 @@ def test_relax_shift_equivariance():
     assert np.max(np.abs(psi_b.values - np.roll(psi_a.values, shift))) <= 1e-6
 
 
-def test_relax_reports_nonconvergence_with_history():
+def test_relax_reports_nonconvergence_with_history(monkeypatch):
     y = nodes(64)
     forcing = Forcing(1.0 + 0.5 * np.cos(TWO_PI * y))
     # below the round-off floor of the residual, so no step can reach it
+    monkeypatch.setattr(front, "_FRONT_TOL", 1e-300)
     with pytest.raises(NonConvergenceError) as excinfo:
-        relax_front(forcing, tol=1e-300)
+        relax_front(forcing)
     err = excinfo.value
     assert err.iterations >= 1
     assert err.residual > 0.0
     assert 0 < len(err.history) <= 8
     assert err.history[-1] == err.residual
     assert err.residual <= 1e-10
-
-
-def test_relax_rejects_nonpositive_tol():
-    forcing = Forcing(np.ones(16))
-    for tol in (0.0, -1e-8, float("nan")):
-        with pytest.raises(ValueError):
-            relax_front(forcing, tol=tol)

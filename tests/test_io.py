@@ -155,9 +155,10 @@ def test_manifest_missing_key_is_configuration_error(rundir, tmp_path, path):
 def test_unrecognized_manifest_format_rejected(tmp_path):
     outdir = tmp_path / "alien"
     outdir.mkdir()
-    (outdir / "manifest.json").write_text(json.dumps({"format": "other-v9"}))
-    with pytest.raises(ConfigurationError):
-        load_wave(outdir)
+    for manifest in ({"format": "other-v9"}, [], "converged", None):
+        (outdir / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ConfigurationError):
+            load_wave(outdir)
 
 
 def test_rows_csv_cell_formatting(tmp_path):
