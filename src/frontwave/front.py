@@ -173,7 +173,7 @@ def periodic_band(n: int, legs) -> sparse.coo_matrix:
 
 
 def _jacobian(H, dplus, slope, arc):
-    """Bordered Newton matrix (sparse): the periodic tridiagonal derivative
+    """Bordered Newton matrix (CSC): the periodic tridiagonal derivative
     of the front residual, a column of ones for ``c`` and the ``mean(psi)``
     row."""
     n = H.size
@@ -184,8 +184,13 @@ def _jacobian(H, dplus, slope, arc):
     band = periodic_band(
         n, [(0, -(flux + flux_down)), (1, flux - arc_term), (-1, flux_down + arc_term)]
     )
-    ones = sparse.coo_matrix(np.ones((n, 1)))
-    return sparse.bmat([[band, ones], [ones.T / n, None]], format="csc")
+    # Border: the ones column for c and the 1/n row for mean(psi), appended
+    # to the band's entries and converted to CSC once.
+    nodes = np.arange(n)
+    row = np.concatenate([band.row, nodes, np.full(n, n)])
+    col = np.concatenate([band.col, np.full(n, n), nodes])
+    data = np.concatenate([band.data, np.ones(n), np.full(n, 1.0 / n)])
+    return sparse.csc_matrix((data, (row, col)), shape=(n + 1, n + 1))
 
 
 def relax_front(forcing, initial=None):

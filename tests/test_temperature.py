@@ -154,17 +154,42 @@ def test_curved_assembly_matches_plain_loop_reference():
     np.testing.assert_allclose(rhs, reference_rhs, rtol=1e-13, atol=0)
 
 
-def cosine_front(ny):
-    return FrontProfile(0.3 * (1.0 - np.cos(2.0 * np.pi * np.arange(ny) / ny)))
+def cosine_front(ny, amplitude=0.3):
+    return FrontProfile(amplitude * (1.0 - np.cos(2.0 * np.pi * np.arange(ny) / ny)))
 
 
-def test_curved_solve_matches_dense_solve():
-    grid = StripGrid(nx=32, ny=8, depth=8.0)
-    matrix, rhs = assemble_system(cosine_front(8), 0.5, grid)
-    reference = np.linalg.solve(matrix.toarray(), rhs)
-    field = solve_temperature(cosine_front(8), 0.5, grid)
-    solution = field.values[1:].ravel()
-    assert np.linalg.norm(solution - reference) <= 1e-12 * np.linalg.norm(reference)
+def test_curved_solve_matches_dense_solve(monkeypatch):
+    factored = []
+    splu = temperature.sparse_linalg.splu
+
+    def recording_splu(matrix, **options):
+        factored.append(matrix.shape)
+        return splu(matrix, **options)
+
+    monkeypatch.setattr(temperature.sparse_linalg, "splu", recording_splu)
+    cases = [
+        (StripGrid(nx=32, ny=8, depth=8.0), cosine_front(8), 32),
+        # c * hx = 0.3125: only ceil(30 / 0.3125) = 96 rows are warm.  The
+        # front is gentle because at ny = 8 a 0.3 cosine is under-resolved
+        # and its discrete tail decays like e^{0.82 cX}, not e^{cX}.
+        (StripGrid(nx=256, ny=8, depth=160.0), cosine_front(8, 0.05), 96),
+    ]
+    for grid, psi, warm_rows in cases:
+        factored.clear()
+        matrix, rhs = assemble_system(psi, 0.5, grid)
+        reference = np.linalg.solve(matrix.toarray(), rhs)
+        field = solve_temperature(psi, 0.5, grid)
+        solution = field.values[1:].ravel()
+        assert np.linalg.norm(solution - reference) <= 1e-12 * np.linalg.norm(reference)
+        assert factored == [(warm_rows * 8, warm_rows * 8)]
+        assert np.all(field.values[: grid.nx - warm_rows + 1] == 0.0)
+
+
+@pytest.mark.parametrize("speed", [0.0, -1.0, np.nan, np.inf])
+def test_solve_rejects_nonpositive_or_nonfinite_speed(speed):
+    grid = StripGrid(nx=64, ny=8, depth=10.0)
+    with pytest.raises(ValueError, match="speed must be positive and finite"):
+        solve_temperature(flat_profile(8), speed, grid)
 
 
 def test_curved_assembly_is_canonical_csc_without_stored_zeros():
