@@ -166,6 +166,8 @@ def _sweep_case(name, value, doc, case_dir):
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ConfigurationError("sweep needs --jobs of at least 1")
     name, values = _parse_axis(args.axis)
     _, base_echo = load_config(args.config)
     outdir = Path(args.out)
@@ -178,7 +180,7 @@ def cmd_sweep(args) -> int:
         config_from_dict(doc)
         cases.append((value, doc, outdir / f"case_{index:03d}"))
 
-    with ThreadPoolExecutor(max_workers=max(args.jobs, 1)) as pool:
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         rows = list(pool.map(lambda case: _sweep_case(name, *case), cases))
 
     for row in rows:
@@ -299,7 +301,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument("--out", required=True, help="output directory")
     p_sweep.add_argument(
-        "--jobs", type=int, default=1, help="rows to run concurrently"
+        "--jobs",
+        type=int,
+        default=1,
+        help="rows to run concurrently (at least 1)",
     )
     p_sweep.set_defaults(func=cmd_sweep)
 

@@ -11,6 +11,14 @@ budget is retried from its starting state with the profile update damped by
 limit, the loop runs on a floored rate law ``max(K, 1/n)`` and doubles ``n``
 until the floor no longer binds along the front and the speed stops moving
 between stages.
+
+An undamped sweep whose forcing equals the one that produced the current
+profile is skipped: the front solve would start from its own converged
+answer and take no Newton step, and the temperature solve would repeat the
+same operator, so the sweep returns its input unchanged (update 0).  This
+happens wherever the floor binds at every node, e.g. at ``n = 1`` and
+``n = 2`` for Arrhenius kinetics with ``K <= e^{-1}``, where every sweep of
+a stage sees the same forcing ``R / n``.
 """
 from __future__ import annotations
 
@@ -104,12 +112,17 @@ class SolverConfig:
 
 
 class _PicardState(NamedTuple):
-    """One iterate of the outer fixed-point loop."""
+    """One iterate of the outer fixed-point loop.
+
+    ``forcing`` is the forcing whose undamped front solve produced ``psi``;
+    it is ``None`` in the initial state and after a damped sweep.
+    """
 
     speed: float
     psi: FrontProfile
     theta: np.ndarray
     field: Optional[TemperatureField]
+    forcing: Optional[Forcing] = None
 
 
 @dataclass(frozen=True)
@@ -223,13 +236,34 @@ def _picard_step(
     grid: StripGrid,
     omega: float,
 ) -> _PicardState:
-    """One damped sweep of the outer loop."""
+    """One damped sweep of the outer loop.
+
+    An undamped sweep (``omega == 1``) whose forcing equals
+    ``state.forcing`` returns ``state`` itself.  That is exact: ``psi`` is
+    then the min-normalized profile ``relax_front`` returned for this very
+    forcing, so a front solve warm-started from it passes its (shift-
+    invariant) stopping test before any Newton step and returns the same
+    profile and speed, and the temperature solve on them would repeat the
+    operator that produced ``state.field``.
+    """
     forcing = build_forcing(kinetics, rate, state.theta)
+    if (
+        omega == 1.0
+        and state.forcing is not None
+        and np.array_equal(forcing.values, state.forcing.values)
+    ):
+        return state
     speed, relaxed = relax_front(forcing, state.psi)
     blended = (1.0 - omega) * state.psi.values + omega * relaxed.values
     psi_new = normalize_front(blended)
     field = solve_temperature(psi_new, speed, grid)
-    return _PicardState(speed=speed, psi=psi_new, theta=field.trace, field=field)
+    return _PicardState(
+        speed=speed,
+        psi=psi_new,
+        theta=field.trace,
+        field=field,
+        forcing=forcing if omega == 1.0 else None,
+    )
 
 
 def _initial_state(config: SolverConfig, grid: StripGrid) -> _PicardState:
@@ -275,6 +309,14 @@ def solve_at_truncation(
         )
         updates.append(delta)
         speeds.append(new.speed)
+        logger.debug(
+            "stage n=%d sweep %d: speed %.12g, update %.3g%s",
+            n,
+            sweep,
+            new.speed,
+            delta,
+            " (forcing already solved; sweep skipped)" if new is state else "",
+        )
         state = new
         if not np.isfinite(delta):
             raise _OuterLoopError(

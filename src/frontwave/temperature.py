@@ -59,6 +59,9 @@ _MAX_REFINEMENTS = 3
 # Decay exponent c*|X| at which the solved part of the strip ends:
 # e^{-30} ~ 9e-14 lies below _RESIDUAL_TOL.
 _WARM_DECAY = 30.0
+# Columns per panel of SuperLU's supernodal factorization (see
+# solve_temperature for the scan behind the value).
+_PANEL_SIZE = 6
 
 logger = logging.getLogger("frontwave")
 
@@ -242,7 +245,13 @@ def solve_temperature(psi, c: float, grid: StripGrid) -> TemperatureField:
     ordered by minimum degree on the pattern of ``A + A^T``: the nine-point
     strip operator is structurally symmetric apart from the flux row, so this
     ordering fits it and fills about half as much as the default COLAMD,
-    which orders for ``A^T A``.
+    which orders for ``A^T A``.  SuperLU works on panels of 6 columns in
+    place of its default width: a factor-only scan of every matrix the
+    ``flat``, ``striated`` and ``sweep`` benchmark workloads factor, and of
+    a 311x128 warm strip, over panel widths 2 to 16, found 6 faster than
+    the default on all four in each of three runs (by 6-23%).  The panel
+    width changes neither the column ordering nor the fill; only the order
+    of the arithmetic moves, by about 1e-13 in the speed.
 
     Raises:
         ValueError: on a nonpositive or nonfinite speed.
@@ -259,7 +268,9 @@ def solve_temperature(psi, c: float, grid: StripGrid) -> TemperatureField:
 
     matrix, rhs = assemble_system(psi, c, warm)
     try:
-        lu = sparse_linalg.splu(matrix, permc_spec="MMD_AT_PLUS_A")
+        lu = sparse_linalg.splu(
+            matrix, permc_spec="MMD_AT_PLUS_A", panel_size=_PANEL_SIZE
+        )
     except RuntimeError as exc:
         raise LinearSolverError(f"sparse factorization failed: {exc}") from exc
 

@@ -245,6 +245,18 @@ def test_activation_sweep_parallel(tmp_path, capsys):
             assert (case / name).is_file()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_sweep_rejects_fewer_than_one_job(tmp_path, caplog, jobs):
+    outdir = tmp_path / "sweep"
+    code = main(["sweep", "--config", write_config(tmp_path, FLAT_DOC),
+                 "--axis", "contrast=0.5", "--out", str(outdir),
+                 "--jobs", jobs])
+    assert code == 1
+    [record] = caplog.records
+    assert "--jobs of at least 1" in record.getMessage()
+    assert not outdir.exists()
+
+
 def test_contrast_axis_builds_two_layer_medium(tmp_path):
     doc = {
         "kinetics": FLAT_DOC["kinetics"],

@@ -1,4 +1,5 @@
 """Outer fixed-point loop, truncation continuation, and the full solve."""
+import logging
 import math
 
 import numpy as np
@@ -110,6 +111,78 @@ def test_picard_fixed_point_invariance(flat_wave, flat_config):
     assert abs(out.speed - state.speed) <= 1e-8
     assert np.max(np.abs(out.psi.values - state.psi.values)) <= 1e-8
     assert np.max(np.abs(out.theta - state.theta)) <= 1e-8
+
+
+def count_sweep_solves(monkeypatch):
+    """Wrap the front and temperature solves the coupler calls with counters."""
+    calls = {"relax_front": 0, "solve_temperature": 0}
+
+    def counted(name):
+        real = getattr(coupler, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(coupler, name, wrapper)
+
+    counted("relax_front")
+    counted("solve_temperature")
+    return calls
+
+
+def test_picard_step_skips_an_already_solved_forcing(monkeypatch):
+    config = flat_like(
+        rate=PiecewiseConstantRate(edges=(0.0, 0.5), values=(0.5, 1.5)),
+        nx=None,
+        depth=None,
+    )
+    grid = resolve_grid(config)
+    # At n = 1 the floor binds everywhere, so the forcing is the rate itself
+    # and the stage ends on a sweep that repeats a solved forcing.
+    kinetics = truncate_kinetics(config.kinetics, 1)
+    state, _, _ = solve_at_truncation(config, 1, grid=grid)
+    assert state.forcing is not None
+    assert np.array_equal(
+        state.forcing.values, build_forcing(kinetics, config.rate, state.theta).values
+    )
+    calls = count_sweep_solves(monkeypatch)
+
+    assert _picard_step(state, kinetics, config.rate, grid, 1.0) is state
+    assert calls == {"relax_front": 0, "solve_temperature": 0}
+
+    damped = _picard_step(state, kinetics, config.rate, grid, 0.5)
+    assert calls == {"relax_front": 1, "solve_temperature": 1}
+    assert damped.forcing is None
+
+    # The sweep the skip stands in for gives back the same state, bit for bit.
+    full = _picard_step(state._replace(forcing=None), kinetics, config.rate, grid, 1.0)
+    assert calls == {"relax_front": 2, "solve_temperature": 2}
+    assert full.speed == state.speed
+    assert np.array_equal(full.psi.values, state.psi.values)
+    assert np.array_equal(full.theta, state.theta)
+    assert np.array_equal(full.forcing.values, state.forcing.values)
+
+
+def test_skipped_sweeps_still_count_and_are_logged(monkeypatch, caplog):
+    calls = count_sweep_solves(monkeypatch)
+    with caplog.at_level(logging.DEBUG, logger="frontwave"):
+        wave = solve_traveling_wave(flat_like(run_diagnostics=False))
+    sweep_lines = [
+        r.getMessage() for r in caplog.records if ", update " in r.getMessage()
+    ]
+    skipped = [line for line in sweep_lines if "sweep skipped" in line]
+    stages = [(rec.truncation, rec.sweeps) for rec in wave.history]
+    assert stages == [(1, 1), (2, 2), (4, 3), (8, 1)]
+    assert len(sweep_lines) == sum(sweeps for _, sweeps in stages)
+    # The second sweep of n = 2 repeats the forcing R/2 of the first.
+    assert skipped == [
+        f"stage n=2 sweep 2: speed {wave.history[1].speed:.12g}, update 0 "
+        "(forcing already solved; sweep skipped)"
+    ]
+    # One front and one temperature solve per sweep, two more to finalize,
+    # none for the skipped sweep.
+    assert calls["relax_front"] == calls["solve_temperature"] == 7 + 2 - 1
 
 
 def test_undamped_iteration_converges_quickly_for_uniform_rate():
