@@ -216,19 +216,33 @@ def assemble_system(psi: FrontProfile, c: float, grid: StripGrid):
     return matrix, rhs
 
 
-def _backward_error(matrix, abs_matrix, solution, rhs) -> float:
+def _norm(vector: np.ndarray) -> float:
+    """Euclidean norm as the root of a pairwise sum of squares."""
+    return math.sqrt(float(np.sum(np.square(vector))))
+
+
+def _backward_error(matrix, abs_matrix, solution, rhs):
     """Normwise backward error ``|r| / |(|A||x| + |b|)|`` of a candidate.
+
+    Returns the error and the residual ``r = b - A x``, which the next
+    refinement step solves for.
 
     Measured against the operator-and-solution scale rather than ``|b|``
     alone: the rhs carries only the boundary forcing while the rows scale
     like ``1/h^2``, so a plain ``|r|/|b|`` quotient has a double-precision
     floor above 1e-12 on fine grids even for a perfectly solved system.
+
+    The norms are pairwise ``np.sum`` reductions, not ``np.linalg.norm``:
+    that is ``sqrt(dot(x, x))``, and numpy's OpenBLAS runs ``ddot`` on
+    several threads once a vector has more than 10,000 entries (a strip
+    with 157 or more rows at ny = 64).  Its idle worker thread then
+    busy-waits on a second core, the one a solve on another thread (a
+    ``sweep --jobs 2`` row) needs.
     """
     residual = rhs - matrix @ solution
-    scale = float(np.linalg.norm(abs_matrix @ np.abs(solution) + np.abs(rhs)))
-    if scale == 0.0:
-        return float(np.linalg.norm(residual))
-    return float(np.linalg.norm(residual)) / scale
+    scale = _norm(abs_matrix @ np.abs(solution) + np.abs(rhs))
+    error = _norm(residual)
+    return (error / scale if scale else error), residual
 
 
 def solve_temperature(psi, c: float, grid: StripGrid) -> TemperatureField:
@@ -264,7 +278,6 @@ def solve_temperature(psi, c: float, grid: StripGrid) -> TemperatureField:
     cells = _WARM_DECAY / (c * grid.hx) if c * grid.depth > _WARM_DECAY else grid.nx
     rows = min(grid.nx, max(16, math.ceil(cells)))
     warm = grid if rows == grid.nx else StripGrid(rows, grid.ny, rows * grid.hx)
-    logger.debug("temperature solve: %d of %d rows at c=%.6g", rows, grid.nx, c)
 
     matrix, rhs = assemble_system(psi, c, warm)
     try:
@@ -276,12 +289,17 @@ def solve_temperature(psi, c: float, grid: StripGrid) -> TemperatureField:
 
     solution = lu.solve(rhs)
     abs_matrix = abs(matrix)
-    relative = _backward_error(matrix, abs_matrix, solution, rhs)
-    for _ in range(_MAX_REFINEMENTS):
-        if relative <= _RESIDUAL_TOL:
-            break
-        solution = solution + lu.solve(rhs - matrix @ solution)
-        relative = _backward_error(matrix, abs_matrix, solution, rhs)
+    relative, residual = _backward_error(matrix, abs_matrix, solution, rhs)
+    steps = 0
+    while not relative <= _RESIDUAL_TOL and steps < _MAX_REFINEMENTS:
+        solution = solution + lu.solve(residual)
+        relative, residual = _backward_error(matrix, abs_matrix, solution, rhs)
+        steps += 1
+    logger.debug(
+        "temperature solve: %d of %d rows at c=%.6g, backward error %.3e "
+        "after %d refinements",
+        rows, grid.nx, c, relative, steps,
+    )
     if not relative <= _RESIDUAL_TOL:
         raise LinearSolverError(
             "linear solve failed to reach the residual target "

@@ -1,6 +1,10 @@
 """Mapped-strip advection-diffusion solve and its exact-solution checks."""
+import logging
+import re
+
 import numpy as np
 import pytest
+from scipy import sparse
 
 import frontwave.temperature as temperature
 from frontwave import (
@@ -210,6 +214,116 @@ def test_nonfinite_linear_solve_is_linear_solver_error(monkeypatch):
     with pytest.raises(LinearSolverError) as info:
         solve_temperature(flat_profile(8), 1.0, grid)
     assert info.value.exit_code == 2
+
+
+def test_backward_error_matches_linalg_norm_reference():
+    rng = np.random.default_rng(7)
+    n = 2000
+    matrix = (
+        sparse.random(n, n, density=2e-3, random_state=rng, format="csc")
+        + sparse.eye(n, format="csc")
+    )
+    solution = rng.standard_normal(n)
+    rhs = rng.standard_normal(n)
+    error, residual = temperature._backward_error(matrix, abs(matrix), solution, rhs)
+    reference_residual = rhs - matrix @ solution
+    reference = np.linalg.norm(reference_residual) / np.linalg.norm(
+        abs(matrix) @ np.abs(solution) + np.abs(rhs)
+    )
+    assert np.array_equal(residual, reference_residual)
+    assert error == pytest.approx(reference, rel=1e-14, abs=0.0)
+    # A zero scale means |A||x| = 0 and b = 0, hence r = 0: no 0/0.
+    zero = np.zeros(n)
+    assert temperature._backward_error(matrix, abs(matrix), zero, zero)[0] == 0.0
+
+
+def solve_log_fields(caplog):
+    """Rows, backward error and refinement steps from the per-solve log lines."""
+    pattern = re.compile(
+        r"temperature solve: (\d+) of \d+ rows at c=\S+, "
+        r"backward error (\S+) after (\d+) refinements"
+    )
+    matches = (pattern.fullmatch(r.getMessage()) for r in caplog.records)
+    return [(int(m[1]), float(m[2]), int(m[3])) for m in matches if m]
+
+
+def test_large_warm_strip_solves_without_blas_reductions(monkeypatch, caplog):
+    """The backward-error norms must not reach OpenBLAS, whose ``ddot``
+    wakes a spinning worker thread above 10,000 entries."""
+    grid = StripGrid(nx=256, ny=64, depth=80.0)
+    psi = cosine_front(64, 0.05)
+    reference = solve_temperature(psi, 0.5, grid)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("BLAS-backed reduction called")
+
+    for module, name in (
+        (np.linalg, "norm"), (np, "dot"), (np, "vdot"), (np, "inner"),
+    ):
+        monkeypatch.setattr(module, name, forbidden)
+    with caplog.at_level(logging.DEBUG, logger="frontwave"):
+        field = solve_temperature(psi, 0.5, grid)
+    [(rows, error, _)] = solve_log_fields(caplog)
+    assert rows == 192 and rows * grid.ny > 10_000
+    assert error <= 1e-12
+    assert np.array_equal(field.values, reference.values)
+
+
+class CountingLU:
+    """An LU whose solves are counted; ``stuck`` makes every correction zero."""
+
+    def __init__(self, lu, stuck=False):
+        self.lu, self.stuck, self.solves = lu, stuck, 0
+
+    def solve(self, rhs):
+        self.solves += 1
+        if self.stuck and self.solves > 1:
+            return np.zeros_like(rhs)
+        return self.lu.solve(rhs)
+
+
+def perturbed_splu(monkeypatch, relative, stuck=False):
+    """Make the solve factor its operator with every entry perturbed."""
+    factored = []
+    splu = temperature.sparse_linalg.splu
+    rng = np.random.default_rng(3)
+
+    def stub(matrix, **options):
+        perturbed = matrix.copy()
+        perturbed.data *= 1.0 + relative * rng.standard_normal(matrix.nnz)
+        factored.append(CountingLU(splu(perturbed, **options), stuck))
+        return factored[-1]
+
+    monkeypatch.setattr(temperature.sparse_linalg, "splu", stub)
+    return factored
+
+
+def test_refinement_recovers_from_an_inexact_factorization(monkeypatch, caplog):
+    grid = StripGrid(nx=64, ny=8, depth=10.0)
+    psi = cosine_front(8)
+    factored = perturbed_splu(monkeypatch, 1e-6)
+    with caplog.at_level(logging.DEBUG, logger="frontwave"):
+        field = solve_temperature(psi, 1.0, grid)
+    [(_, error, steps)] = solve_log_fields(caplog)
+    assert 1 <= steps <= temperature._MAX_REFINEMENTS
+    assert factored[0].solves == 1 + steps
+    matrix, rhs = assemble_system(psi, 1.0, grid)
+    exact, _ = temperature._backward_error(matrix, abs(matrix), field.values[1:].ravel(), rhs)
+    assert exact <= 1e-12
+    assert error == pytest.approx(exact, rel=1e-3)
+
+
+def test_refinement_that_never_helps_is_linear_solver_error(monkeypatch, caplog):
+    grid = StripGrid(nx=64, ny=8, depth=10.0)
+    factored = perturbed_splu(monkeypatch, 1e-2, stuck=True)
+    with caplog.at_level(logging.DEBUG, logger="frontwave"):
+        with pytest.raises(LinearSolverError) as info:
+            solve_temperature(cosine_front(8), 1.0, grid)
+    [(_, error, steps)] = solve_log_fields(caplog)
+    assert steps == temperature._MAX_REFINEMENTS
+    assert factored[0].solves == 1 + steps
+    assert info.value.residual > 1e-12
+    assert error == pytest.approx(info.value.residual, rel=1e-3)
 
 
 def test_flat_solution_is_transverse_invariant():
