@@ -349,6 +349,11 @@ def _finalize(state, kinetics_n, rate, grid):
     return state, forcing, speed
 
 
+def _floor_inactive(base: KineticsModel, theta, n: int) -> bool:
+    """Whether the untruncated rate is at least ``1/n`` everywhere on the trace."""
+    return bool(np.min(base.evaluate(np.maximum(theta, 0.0))) >= 1.0 / n)
+
+
 def solve_traveling_wave(config: SolverConfig) -> TravelingWave:
     """Run the full truncation continuation and return the converged wave.
 
@@ -387,9 +392,7 @@ def solve_traveling_wave(config: SolverConfig) -> TravelingWave:
                     ) from exc
                 logger.info("stage n=%d failed at damping %.3g; retrying", n, omega)
 
-        floor = 1.0 / n
-        base_on_trace = base.evaluate(np.maximum(state.theta, 0.0))
-        floor_inactive = bool(np.min(base_on_trace) >= floor)
+        floor_inactive = _floor_inactive(base, state.theta, n)
         gap = (
             abs(state.speed - prev_speed) if prev_speed is not None else np.inf
         )
@@ -412,7 +415,7 @@ def solve_traveling_wave(config: SolverConfig) -> TravelingWave:
             floor_inactive,
         )
 
-        if base.evaluate(0.0) >= floor:
+        if base.evaluate(0.0) >= 1.0 / n:
             # The floor changes nothing anywhere, so this stage already
             # solved the untruncated problem.
             stop_reason = "truncation is a no-op for this rate law"
@@ -437,9 +440,7 @@ def solve_traveling_wave(config: SolverConfig) -> TravelingWave:
 
     kinetics_n = truncate_kinetics(base, n)
     state, forcing, speed = _finalize(state, kinetics_n, rate, grid)
-    floor_inactive = bool(
-        np.min(base.evaluate(np.maximum(state.theta, 0.0))) >= 1.0 / n
-    )
+    floor_inactive = _floor_inactive(base, state.theta, n)
     front_res = float(np.max(np.abs(front_residual(state.psi, speed, forcing))))
     residuals = ResidualNorms(
         front=front_res,

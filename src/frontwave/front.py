@@ -7,15 +7,16 @@ rate at the front temperature) balances curvature against normal propagation:
     curvature(psi) + c - H(y) * sqrt(1 + psi_y^2) = 0,
 
 where the mean of ``H * sqrt(1 + psi_y^2)`` pins down ``c`` because the
-curvature term integrates to zero over a period.
+curvature term integrates to zero over a period.  The equation does not see a
+constant shift of ``psi``, so the Newton solver holds ``psi[0]`` and each step
+is one tridiagonal banded solve.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import linalg as sparse_linalg
+from scipy import linalg
 
 from .errors import NonConvergenceError
 
@@ -163,43 +164,30 @@ def normalize_front(psi) -> FrontProfile:
     return FrontProfile(arr - arr.min())
 
 
-def periodic_band(n: int, legs) -> sparse.coo_matrix:
-    """``n x n`` band that wraps around: row ``j`` holds ``coeffs[j]`` in
-    column ``(j + shift) mod n`` for each ``(shift, coeffs)`` leg."""
-    rows = np.arange(n)
-    cols = np.concatenate([(rows + shift) % n for shift, _ in legs])
-    data = np.concatenate([np.broadcast_to(coeffs, n) for _, coeffs in legs])
-    return sparse.coo_matrix((data, (np.tile(rows, len(legs)), cols)), shape=(n, n))
-
-
-def _jacobian(H, dplus, slope, arc):
-    """Bordered Newton matrix (CSC): the periodic tridiagonal derivative
-    of the front residual, a column of ones for ``c`` and the ``mean(psi)``
-    row."""
-    n = H.size
-    h = 1.0 / n
+def _newton_step(H, equations, dplus, slope, arc):
+    """Newton step ``(dpsi, dc)`` with ``dpsi[0] = 0``.  Nodes 1..n-1 form one
+    tridiagonal block (``band``, in ``solve_banded``'s layout), solved for the
+    residual and the ``c`` column; node 0's row, wrapping to 1 and n-1, fixes ``dc``."""
+    h = 1.0 / H.size
     flux = 1.0 / ((1.0 + dplus * dplus) * h * h)
     flux_down = np.roll(flux, 1)
     arc_term = H * slope / (2.0 * h * arc)
-    band = periodic_band(
-        n, [(0, -(flux + flux_down)), (1, flux - arc_term), (-1, flux_down + arc_term)]
-    )
-    # Border: the ones column for c and the 1/n row for mean(psi), appended
-    # to the band's entries and converted to CSC once.
-    nodes = np.arange(n)
-    row = np.concatenate([band.row, nodes, np.full(n, n)])
-    col = np.concatenate([band.col, np.full(n, n), nodes])
-    data = np.concatenate([band.data, np.ones(n), np.full(n, 1.0 / n)])
-    return sparse.csc_matrix((data, (row, col)), shape=(n + 1, n + 1))
+    up, down = flux - arc_term, flux_down + arc_term
+    band = np.stack([up[:-1], -(flux + flux_down)[1:], np.roll(down, -2)[:-1]])
+    rhs = np.column_stack([-equations[1:], np.ones(H.size - 1)])
+    sol = linalg.solve_banded((1, 1), band, rhs)
+    wrap = up[0] * sol[0] + down[0] * sol[-1]
+    dc = (-equations[0] - wrap[0]) / (1.0 - wrap[1])
+    return np.append(0.0, sol[:, 0] - dc * sol[:, 1]), dc
 
 
 def relax_front(forcing, initial=None):
     """Solve the traveling-front balance for a frozen forcing.
 
-    Damped Newton on the bordered system: unknowns ``(psi, c)``, equations
-    the front residual at the nodes plus a row holding ``mean(psi)`` fixed.
-    Each step is halved until the norm of the equations decreases; the solve
-    stops when ``max|curvature + mean(H * arc) - H * arc| < 1e-8``.
+    Damped Newton on unknowns ``(psi, c)`` with ``psi[0]`` held, equations
+    the front residual at the nodes; each step is one tridiagonal banded
+    solve.  A step is halved until the norm of the equations decreases; the
+    solve stops when ``max|curvature + mean(H * arc) - H * arc| < 1e-8``.
 
     Args:
         forcing: ``Forcing`` (or array) of nonnegative strengths.
@@ -215,34 +203,35 @@ def relax_front(forcing, initial=None):
             within the step budget, or no step length decreases it.
     """
     H = _periodic_values(forcing, "forcing")
-    if initial is None:
-        psi = np.zeros_like(H)
-    else:
+    psi = np.zeros_like(H)
+    if initial is not None:
         psi = _periodic_values(initial, "front profile")
-        if psi.size != H.size:
-            raise ValueError("forcing and front profile sizes differ")
-    n = H.size
-    anchor = float(np.mean(psi))
+    if psi.size != H.size:
+        raise ValueError("forcing and front profile sizes differ")
 
     def evaluate(psi, c=None):
-        """Equations, stopping residual and Jacobian inputs at ``(psi, c)``."""
+        """Equations, stopping residual and step inputs at ``(psi, c)``."""
         dplus, slope, _, curv = _stencil(psi)
         arc = np.sqrt(1.0 + slope * slope)
         push = H * arc
         speed = float(np.mean(push))
         c = speed if c is None else c
-        equations = np.append(curv + c - push, np.mean(psi) - anchor)
         residual = float(np.max(np.abs(curv + speed - push)))
-        return psi, c, equations, residual, (dplus, slope, arc)
+        return psi, c, curv + c - push, residual, (dplus, slope, arc)
 
     psi, c, equations, residual, diffs = evaluate(psi)
     history = [residual]
     while residual >= _FRONT_TOL and len(history) <= _MAX_NEWTON_STEPS:
-        delta = sparse_linalg.spsolve(_jacobian(H, *diffs), -equations)
+        try:
+            dpsi, dc = _newton_step(H, equations, *diffs)
+        except np.linalg.LinAlgError:
+            break  # singular: reported below like a step that cannot decrease
+        if not np.all(np.isfinite(dpsi)):
+            break  # a non-finite step ends the same way
         norm = np.linalg.norm(equations)
         for halving in range(_MAX_HALVINGS):
             lam = 0.5**halving
-            trial = evaluate(psi + lam * delta[:n], c + lam * delta[n])
+            trial = evaluate(psi + lam * dpsi, c + lam * dc)
             if np.linalg.norm(trial[2]) <= (1.0 - 1e-4 * lam) * norm:
                 break
         else:

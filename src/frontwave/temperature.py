@@ -44,7 +44,7 @@ from scipy import sparse
 from scipy.sparse import linalg as sparse_linalg
 
 from .errors import ConfigurationError, LinearSolverError
-from .front import FrontProfile, check_cell_count, front_derivatives, periodic_band
+from .front import FrontProfile, check_cell_count, front_derivatives
 
 __all__ = [
     "StripGrid",
@@ -132,6 +132,15 @@ class TemperatureField:
     def trace(self) -> np.ndarray:
         """Temperature along the front line ``X = 0``."""
         return self.values[-1]
+
+
+def periodic_band(n: int, legs) -> sparse.coo_matrix:
+    """``n x n`` band that wraps around: row ``j`` holds ``coeffs[j]`` in
+    column ``(j + shift) mod n`` for each ``(shift, coeffs)`` leg."""
+    rows = np.arange(n)
+    cols = np.concatenate([(rows + shift) % n for shift, _ in legs])
+    data = np.concatenate([np.broadcast_to(coeffs, n) for _, coeffs in legs])
+    return sparse.coo_matrix((data, (np.tile(rows, len(legs)), cols)), shape=(n, n))
 
 
 def assemble_system(psi: FrontProfile, c: float, grid: StripGrid):

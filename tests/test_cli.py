@@ -5,6 +5,7 @@ import shutil
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import frontwave.cli as cli
 import frontwave.coupler as coupler
@@ -180,6 +181,27 @@ def test_solve_linear_solver_failure_writes_failure_manifest(tmp_path, monkeypat
     assert manifest["status"] == "failed"
     assert "refinement stalled" in manifest["reason"]
     assert manifest["config"] == FLAT_DOC
+
+
+
+def test_singular_front_step_is_nonconvergence_with_manifest(tmp_path, monkeypatch):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    # LinAlgError is a ValueError, which would otherwise exit 1 as a config error.
+    monkeypatch.setattr(scipy.linalg, "solve_banded", singular)
+    doc = dict(FLAT_DOC, rate={"type": "piecewise", "edges": [0.0, 0.5],
+                               "values": [0.5, 1.5]})
+    outdir = tmp_path / "run"
+    code = main(["solve", "--config", write_config(tmp_path, doc),
+                 "--out", str(outdir)])
+    assert code == 2
+    manifest = read_manifest(outdir)
+    assert manifest["status"] == "failed"
+    assert manifest["error"] == "NonConvergenceError"
+    assert manifest["exit_code"] == 2
+    assert "front Newton solve" in manifest["reason"]
+    assert manifest["history"] == [manifest["residual"]]
 
 
 def test_negative_trace_is_numerical_failure_with_manifest(tmp_path, monkeypatch):

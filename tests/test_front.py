@@ -1,6 +1,7 @@
 """Front geometry operators and the Newton front solver."""
 import numpy as np
 import pytest
+from scipy import linalg
 from scipy.sparse import linalg as sparse_linalg
 
 import oracles
@@ -16,7 +17,7 @@ from frontwave import (
     relax_front,
 )
 import frontwave.front as front
-from frontwave.front import _jacobian, _stencil
+from frontwave.front import _newton_step, _stencil
 
 TWO_PI = 2.0 * np.pi
 
@@ -27,15 +28,15 @@ def nodes(n):
 
 @pytest.fixture
 def newton_solves(monkeypatch):
-    """Counts the bordered linear solves, one per Newton step."""
+    """Records the size of each banded solve, one per Newton step."""
     calls = []
-    solve = sparse_linalg.spsolve
+    solve = linalg.solve_banded
 
-    def counting(*args):
-        calls.append(args[0].shape)
-        return solve(*args)
+    def counting(l_and_u, band, rhs, **kwargs):
+        calls.append(band.shape[1])
+        return solve(l_and_u, band, rhs, **kwargs)
 
-    monkeypatch.setattr(sparse_linalg, "spsolve", counting)
+    monkeypatch.setattr(linalg, "solve_banded", counting)
     return calls
 
 
@@ -203,8 +204,9 @@ def test_relax_matches_shooting_oracle_on_cosine_forcing():
 
 
 def test_newton_jacobian_matches_finite_differences():
-    """The bordered matrix is the derivative of the Newton equations
-    ``(curvature + c - H * arc, mean(psi))`` with respect to ``(psi, c)``."""
+    """The step holds ``psi[0]`` and solves the Newton system whose matrix is
+    the derivative of the front equations ``curvature + c - H * arc`` with
+    respect to ``(psi[1:], c)``, here taken by central differences."""
     n = 16
     y = nodes(n)
     H = 1.0 + 0.5 * np.cos(TWO_PI * y)
@@ -212,19 +214,21 @@ def test_newton_jacobian_matches_finite_differences():
     def equations(x):
         psi, c = x[:n], x[n]
         slope, _ = front_derivatives(psi)
-        arc = np.sqrt(1.0 + slope * slope)
-        return np.append(curvature_term(psi) + c - H * arc, np.mean(psi))
+        return curvature_term(psi) + c - H * np.sqrt(1.0 + slope * slope)
 
     psi = 0.2 * np.cos(TWO_PI * y) + 0.05 * np.sin(2.0 * TWO_PI * y)
-    dplus, slope, _, _ = _stencil(psi)
-    jac = _jacobian(H, dplus, slope, np.sqrt(1.0 + slope * slope)).toarray()
     x, eps = np.append(psi, 0.9), 1e-6
     fd = np.column_stack([
         (equations(x + eps * e) - equations(x - eps * e)) / (2.0 * eps)
-        for e in np.eye(n + 1)
+        for e in np.eye(n + 1)[1:]
     ])
-    assert jac.shape == (n + 1, n + 1)
-    np.testing.assert_allclose(jac, fd, rtol=0.0, atol=1e-7 * np.max(np.abs(jac)))
+    dplus, slope, _, _ = _stencil(psi)
+    rhs = equations(x)
+    dpsi, dc = _newton_step(H, rhs, dplus, slope, np.sqrt(1.0 + slope * slope))
+    assert dpsi[0] == 0.0
+    np.testing.assert_allclose(
+        fd @ np.append(dpsi[1:], dc), -rhs, rtol=0.0, atol=1e-7 * np.max(np.abs(rhs))
+    )
 
 
 def test_relax_converges_in_few_newton_steps(newton_solves):
@@ -232,7 +236,7 @@ def test_relax_converges_in_few_newton_steps(newton_solves):
         y = nodes(n)
         newton_solves.clear()
         relax_front(Forcing(1.0 + 0.5 * np.cos(TWO_PI * y)))
-        assert newton_solves == [(n + 1, n + 1)] * len(newton_solves)
+        assert newton_solves == [n - 1] * len(newton_solves)
         assert 1 <= len(newton_solves) <= 4
 
 
@@ -246,6 +250,35 @@ def test_relax_warm_start_from_converged_profile_takes_no_steps(newton_solves):
     assert newton_solves == []
     assert speed_again == speed
     assert np.array_equal(psi_again.values, psi.values)
+
+
+def test_relax_takes_no_sparse_or_dense_solve(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the front Newton step is one banded solve")
+
+    for owner, name in ((sparse_linalg, "spsolve"), (sparse_linalg, "splu"),
+                        (np.linalg, "solve")):
+        monkeypatch.setattr(owner, name, refuse)
+    forcing = Forcing(1.0 + 0.5 * np.cos(TWO_PI * nodes(256)))
+    speed, psi = relax_front(forcing)
+    residual = front_residual(psi, speed, forcing)
+    assert np.max(np.abs(residual)) <= 10.0 * front._FRONT_TOL
+
+
+@pytest.mark.parametrize("failure", ["singular", "non-finite"])
+def test_relax_failed_step_is_nonconvergence_with_history(monkeypatch, failure):
+    def failing(l_and_u, band, rhs, **kwargs):
+        if failure == "singular":
+            raise np.linalg.LinAlgError("singular matrix")
+        return np.full(rhs.shape, np.nan)
+
+    monkeypatch.setattr(linalg, "solve_banded", failing)
+    with pytest.raises(NonConvergenceError) as excinfo:
+        relax_front(Forcing(1.0 + 0.5 * np.cos(TWO_PI * nodes(64))))
+    err = excinfo.value
+    assert err.iterations == 0
+    assert err.history == (err.residual,)
+    assert err.residual > front._FRONT_TOL
 
 
 def test_relax_output_satisfies_speed_identity_and_residual_bound():
