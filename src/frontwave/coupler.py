@@ -5,20 +5,19 @@ The traveling wave is a fixed point of the loop
     trace -> forcing H = R(y) * K(trace) -> front (speed, profile) ->
     temperature field -> trace,
 
-iterated undamped at first.  A stage whose sweeps diverge or run out of
-budget is retried from its starting state with the profile update damped by
-1/2, 1/4 and then 1/8.  Because the reaction rate may vanish in the cold
-limit, the loop runs on a floored rate law ``max(K, 1/n)`` and doubles ``n``
-until the floor no longer binds along the front and the speed stops moving
-between stages.
+iterated undamped.  Because the reaction rate may vanish in the cold limit,
+the loop runs on a floored rate law ``max(K, 1/n)`` and doubles ``n`` until
+the floor no longer binds along the front and the speed stops moving between
+stages.  A stage whose sweeps diverge or run out of budget is not retried: it
+raises ``NonConvergenceError`` with its sweep history.
 
-An undamped sweep whose forcing equals the one that produced the current
-profile is skipped: the front solve would start from its own converged
-answer and take no Newton step, and the temperature solve would repeat the
-same operator, so the sweep returns its input unchanged (update 0).  This
-happens wherever the floor binds at every node, e.g. at ``n = 1`` and
-``n = 2`` for Arrhenius kinetics with ``K <= e^{-1}``, where every sweep of
-a stage sees the same forcing ``R / n``.
+A sweep whose forcing equals the one that produced the current profile is
+skipped: the front solve would start from its own converged answer and take
+no Newton step, and the temperature solve would repeat the same operator, so
+the sweep returns its input unchanged (update 0).  This happens wherever the
+floor binds at every node, e.g. at ``n = 1`` and ``n = 2`` for Arrhenius
+kinetics with ``K <= e^{-1}``, where every sweep of a stage sees the same
+forcing ``R / n``.
 """
 from __future__ import annotations
 
@@ -36,7 +35,6 @@ from .front import (
     check_cell_count,
     compute_speed,
     front_residual,
-    normalize_front,
     relax_front,
 )
 from .kinetics import (
@@ -62,17 +60,11 @@ logger = logging.getLogger("frontwave")
 
 _EDGE_ALIGN_TOL = 1e-9
 
-# Continuation budgets: the first truncation ``n``, the damping factors a
-# stage tries in turn, the sweeps per attempt and the stages per solve.
+# Continuation budgets: the first truncation ``n``, the sweeps per stage and
+# the stages per solve.
 _FIRST_TRUNCATION = 1
-_DAMPING_LADDER = (1.0, 0.5, 0.25, 0.125)
 _MAX_SWEEPS = 200
 _MAX_STAGES = 24
-
-
-class _OuterLoopError(NonConvergenceError):
-    """The outer sweeps diverged or ran out of budget: the one failure that
-    a smaller damping factor can cure, so the only one a stage retries."""
 
 
 @dataclass(frozen=True)
@@ -114,8 +106,8 @@ class SolverConfig:
 class _PicardState(NamedTuple):
     """One iterate of the outer fixed-point loop.
 
-    ``forcing`` is the forcing whose undamped front solve produced ``psi``;
-    it is ``None`` in the initial state and after a damped sweep.
+    ``forcing`` is the forcing whose front solve produced ``psi``; it is
+    ``None`` in the initial state.
     """
 
     speed: float
@@ -133,7 +125,6 @@ class StageRecord:
     speed: float
     sweeps: int
     last_update: float
-    omega: float
     floor_inactive: bool
     speed_gap: float
 
@@ -182,9 +173,10 @@ def resolve_grid(config: SolverConfig) -> StripGrid:
     """Materialize the strip grid, sizing unset dimensions from the models.
 
     Raises:
-        ConfigurationError: when the kinetics admit no propagation, a
-            piecewise rate's edges fall off the transverse grid, or the
-            requested X resolution cannot carry the fastest stage.
+        ConfigurationError: when the kinetics admit no propagation, the
+            strip is too large to build, a piecewise rate's edges fall off
+            the transverse grid, or the requested X resolution cannot carry
+            the fastest stage.
     """
     r_lo, _ = config.rate.bounds
     integral = config.kinetics.unit_integral()
@@ -198,8 +190,13 @@ def resolve_grid(config: SolverConfig) -> StripGrid:
     if config.nx is not None:
         nx = int(config.nx)
     else:
-        nx = max(512, 32 * int(np.ceil(0.6 * cap * depth / 32.0)))
-    grid = StripGrid(nx=nx, ny=config.ny, depth=depth)
+        nx = max(512.0, 32.0 * np.ceil(0.6 * cap * depth / 32.0))
+    if (nx + 1) * config.ny > np.iinfo(np.intp).max or not np.isfinite(depth):
+        raise ConfigurationError(
+            f"the strip of {nx:.3g} x {config.ny} cells and depth {depth:.3g} "
+            "cannot be built; give grid nx and depth"
+        )
+    grid = StripGrid(nx=int(nx), ny=config.ny, depth=depth)
     if cap * grid.hx > 2.0:
         raise ConfigurationError(
             f"advection cell number {cap * grid.hx:.3g} exceeds 2 at the "
@@ -234,35 +231,25 @@ def _picard_step(
     kinetics: KineticsModel,
     rate: CombustionRate,
     grid: StripGrid,
-    omega: float,
 ) -> _PicardState:
-    """One damped sweep of the outer loop.
+    """One sweep of the outer loop.
 
-    An undamped sweep (``omega == 1``) whose forcing equals
-    ``state.forcing`` returns ``state`` itself.  That is exact: ``psi`` is
-    then the min-normalized profile ``relax_front`` returned for this very
-    forcing, so a front solve warm-started from it passes its (shift-
-    invariant) stopping test before any Newton step and returns the same
-    profile and speed, and the temperature solve on them would repeat the
-    operator that produced ``state.field``.
+    A sweep whose forcing equals ``state.forcing`` returns ``state`` itself.
+    That is exact: ``psi`` is then the min-normalized profile ``relax_front``
+    returned for this very forcing, so a front solve warm-started from it
+    passes its (shift-invariant) stopping test before any Newton step and
+    returns the same profile and speed, and the temperature solve on them
+    would repeat the operator that produced ``state.field``.
     """
     forcing = build_forcing(kinetics, rate, state.theta)
-    if (
-        omega == 1.0
-        and state.forcing is not None
-        and np.array_equal(forcing.values, state.forcing.values)
+    if state.forcing is not None and np.array_equal(
+        forcing.values, state.forcing.values
     ):
         return state
-    speed, relaxed = relax_front(forcing, state.psi)
-    blended = (1.0 - omega) * state.psi.values + omega * relaxed.values
-    psi_new = normalize_front(blended)
-    field = solve_temperature(psi_new, speed, grid)
+    speed, psi = relax_front(forcing, state.psi)
+    field = solve_temperature(psi, speed, grid)
     return _PicardState(
-        speed=speed,
-        psi=psi_new,
-        theta=field.trace,
-        field=field,
-        forcing=forcing if omega == 1.0 else None,
+        speed=speed, psi=psi, theta=field.trace, field=field, forcing=forcing
     )
 
 
@@ -281,7 +268,6 @@ def solve_at_truncation(
     n: int,
     grid: Optional[StripGrid] = None,
     start: Optional[_PicardState] = None,
-    omega: float = 1.0,
 ):
     """Iterate the outer loop to a fixed point for the floor-``1/n`` law.
 
@@ -290,9 +276,10 @@ def solve_at_truncation(
         per-sweep convergence measure ``max|dpsi| + |dc|``.
 
     Raises:
-        NonConvergenceError: on a non-finite update or an exhausted budget;
-            the error's history carries the recent ``(speed, update)`` pairs
-            so a limit cycle's candidates are all visible.
+        NonConvergenceError: on a non-finite update or an exhausted budget,
+            naming the stage ``n``; the error's history carries the recent
+            ``(speed, update)`` pairs so a limit cycle's candidates are all
+            visible.
     """
     kinetics = truncate_kinetics(config.kinetics, n)
     rate = config.rate
@@ -302,7 +289,7 @@ def solve_at_truncation(
     updates = []
     speeds = []
     for sweep in range(1, _MAX_SWEEPS + 1):
-        new = _picard_step(state, kinetics, rate, grid, omega)
+        new = _picard_step(state, kinetics, rate, grid)
         delta = float(
             np.max(np.abs(new.psi.values - state.psi.values))
             + abs(new.speed - state.speed)
@@ -319,17 +306,13 @@ def solve_at_truncation(
         )
         state = new
         if not np.isfinite(delta):
-            raise _OuterLoopError(
-                "outer iteration diverged",
-                iterations=sweep,
-                residual=delta,
-                history=list(zip(speeds[-8:], updates[-8:])),
-            )
+            break
         if delta < config.outer_tol:
             return state, sweep, updates
-    raise _OuterLoopError(
-        "outer iteration exhausted its sweep budget",
-        iterations=_MAX_SWEEPS,
+    failure = "exhausted its sweep budget" if np.isfinite(delta) else "diverged"
+    raise NonConvergenceError(
+        f"stage n={n}: outer iteration {failure}",
+        iterations=len(updates),
         residual=updates[-1],
         history=list(zip(speeds[-8:], updates[-8:])),
     )
@@ -338,12 +321,12 @@ def solve_at_truncation(
 def _finalize(state, kinetics_n, rate, grid):
     """Re-anchor speed, forcing, and trace on one self-consistent state.
 
-    Two undamped sweeps shrink the one-sweep lag left by the stopping test,
+    Two more sweeps shrink the one-sweep lag left by the stopping test,
     after which the quoted forcing is rebuilt from the final trace and the
     quoted speed from that forcing, making the speed identity exact.
     """
     for _ in range(2):
-        state = _picard_step(state, kinetics_n, rate, grid, 1.0)
+        state = _picard_step(state, kinetics_n, rate, grid)
     forcing = build_forcing(kinetics_n, rate, state.theta)
     speed = compute_speed(forcing, state.psi)
     return state, forcing, speed
@@ -359,9 +342,9 @@ def solve_traveling_wave(config: SolverConfig) -> TravelingWave:
 
     Raises:
         ConfigurationError: for inconsistent setup (via grid resolution).
-        NonConvergenceError: if a stage's outer loop fails even with
-            repeated damping cuts, a front solve fails (not retried), or the
-            stage budget runs out before the speed settles.
+        NonConvergenceError: if a stage's outer loop or front solve fails
+            (neither is retried), or the stage budget runs out before the
+            speed settles.
     """
     grid = resolve_grid(config)
     base = config.kinetics
@@ -374,24 +357,9 @@ def solve_traveling_wave(config: SolverConfig) -> TravelingWave:
     floor_inactive = False
 
     for _ in range(_MAX_STAGES):
-        entry = state
-        for omega in _DAMPING_LADDER:
-            try:
-                state, sweeps, updates = solve_at_truncation(
-                    config, n, grid=grid, start=entry, omega=omega
-                )
-                break
-            except _OuterLoopError as exc:
-                if omega == _DAMPING_LADDER[-1]:
-                    raise NonConvergenceError(
-                        f"stage n={n} failed to converge even at damping "
-                        f"{omega:.3g}",
-                        iterations=exc.iterations,
-                        residual=exc.residual,
-                        history=exc.history,
-                    ) from exc
-                logger.info("stage n=%d failed at damping %.3g; retrying", n, omega)
-
+        state, sweeps, updates = solve_at_truncation(
+            config, n, grid=grid, start=state
+        )
         floor_inactive = _floor_inactive(base, state.theta, n)
         gap = (
             abs(state.speed - prev_speed) if prev_speed is not None else np.inf
@@ -402,7 +370,6 @@ def solve_traveling_wave(config: SolverConfig) -> TravelingWave:
                 speed=state.speed,
                 sweeps=sweeps,
                 last_update=updates[-1],
-                omega=omega,
                 floor_inactive=floor_inactive,
                 speed_gap=gap,
             )

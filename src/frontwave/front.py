@@ -74,10 +74,6 @@ class FrontProfile:
         return self.values.size
 
     @property
-    def spacing(self) -> float:
-        return 1.0 / self.values.size
-
-    @property
     def nodes(self) -> np.ndarray:
         return np.arange(self.values.size) / self.values.size
 

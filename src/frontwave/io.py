@@ -32,7 +32,7 @@ __all__ = [
     "load_wave",
 ]
 
-MANIFEST_FORMAT = "frontwave-manifest-v1"
+MANIFEST_FORMAT = "frontwave-manifest-v2"
 
 FRONT_COLUMNS = ("y", "psi", "psi_y", "forcing", "residual")
 TRACE_COLUMNS = ("y", "theta", "reaction")

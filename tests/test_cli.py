@@ -147,6 +147,24 @@ def test_solve_rejects_misaligned_striation(tmp_path):
     assert manifest["exit_code"] == 1
 
 
+@pytest.mark.parametrize("activation", [705.0, 50.0])
+def test_solve_rejects_auto_grid_too_large_to_build(tmp_path, caplog, activation):
+    # B=705 makes the auto depth overflow to inf; B=50 gives nx ~ 1.6e24.
+    doc = dict(FLAT_DOC, kinetics={"type": "arrhenius", "prefactor": 1.0,
+                                   "activation": activation},
+               grid={"ny": 8})
+    outdir = tmp_path / "run"
+    code = main(["solve", "--config", write_config(tmp_path, doc),
+                 "--out", str(outdir)])
+    assert code == 1
+    [record] = caplog.records
+    assert "cannot be built; give grid nx and depth" in record.getMessage()
+    manifest = read_manifest(outdir)
+    assert manifest["status"] == "failed"
+    assert manifest["error"] == "ConfigurationError"
+    assert manifest["exit_code"] == 1
+
+
 def test_solve_rejects_broken_json(tmp_path):
     path = tmp_path / "config.json"
     path.write_text("{oops")
@@ -202,6 +220,27 @@ def test_singular_front_step_is_nonconvergence_with_manifest(tmp_path, monkeypat
     assert manifest["exit_code"] == 2
     assert "front Newton solve" in manifest["reason"]
     assert manifest["history"] == [manifest["residual"]]
+
+
+def test_exhausted_sweep_budget_is_nonconvergence_with_history(tmp_path, monkeypatch):
+    # The n=1 stage of a striated medium needs two sweeps; it is not retried.
+    monkeypatch.setattr(coupler, "_MAX_SWEEPS", 1)
+    doc = dict(FLAT_DOC, rate={"type": "piecewise", "edges": [0.0, 0.5],
+                               "values": [0.5, 1.5]})
+    outdir = tmp_path / "run"
+    code = main(["solve", "--config", write_config(tmp_path, doc),
+                 "--out", str(outdir)])
+    assert code == 2
+    manifest = read_manifest(outdir)
+    assert manifest["status"] == "failed"
+    assert manifest["error"] == "NonConvergenceError"
+    assert manifest["exit_code"] == 2
+    assert "stage n=1" in manifest["reason"]
+    assert "sweep budget" in manifest["reason"]
+    assert manifest["iterations"] == 1
+    [(speed, update)] = manifest["history"]
+    assert update == manifest["residual"]
+    assert math.isfinite(speed) and math.isfinite(update)
 
 
 def test_negative_trace_is_numerical_failure_with_manifest(tmp_path, monkeypatch):

@@ -107,7 +107,7 @@ def test_picard_fixed_point_invariance(flat_wave, flat_config):
         theta=flat_wave.theta,
         field=flat_wave.field,
     )
-    out = _picard_step(state, kinetics, flat_config.rate, flat_wave.grid, 1.0)
+    out = _picard_step(state, kinetics, flat_config.rate, flat_wave.grid)
     assert abs(out.speed - state.speed) <= 1e-8
     assert np.max(np.abs(out.psi.values - state.psi.values)) <= 1e-8
     assert np.max(np.abs(out.theta - state.theta)) <= 1e-8
@@ -148,16 +148,12 @@ def test_picard_step_skips_an_already_solved_forcing(monkeypatch):
     )
     calls = count_sweep_solves(monkeypatch)
 
-    assert _picard_step(state, kinetics, config.rate, grid, 1.0) is state
+    assert _picard_step(state, kinetics, config.rate, grid) is state
     assert calls == {"relax_front": 0, "solve_temperature": 0}
 
-    damped = _picard_step(state, kinetics, config.rate, grid, 0.5)
-    assert calls == {"relax_front": 1, "solve_temperature": 1}
-    assert damped.forcing is None
-
     # The sweep the skip stands in for gives back the same state, bit for bit.
-    full = _picard_step(state._replace(forcing=None), kinetics, config.rate, grid, 1.0)
-    assert calls == {"relax_front": 2, "solve_temperature": 2}
+    full = _picard_step(state._replace(forcing=None), kinetics, config.rate, grid)
+    assert calls == {"relax_front": 1, "solve_temperature": 1}
     assert full.speed == state.speed
     assert np.array_equal(full.psi.values, state.psi.values)
     assert np.array_equal(full.theta, state.theta)
@@ -232,7 +228,7 @@ def test_solve_at_truncation_reports_nonconvergence_history(monkeypatch):
     assert np.isfinite(speed) and np.isfinite(update)
 
 
-def test_stage_retries_outer_failures_but_not_front_failures(monkeypatch):
+def test_stage_retries_neither_outer_nor_front_failures(monkeypatch):
     striated = dict(
         rate=PiecewiseConstantRate(edges=(0.0, 0.5), values=(0.5, 1.5)),
         nx=None,
@@ -241,15 +237,19 @@ def test_stage_retries_outer_failures_but_not_front_failures(monkeypatch):
     stage_calls = []
     real_stage = coupler.solve_at_truncation
 
-    def counting_stage(*args, **kwargs):
-        stage_calls.append(kwargs["omega"])
-        return real_stage(*args, **kwargs)
+    def counting_stage(config, n, **kwargs):
+        stage_calls.append(n)
+        return real_stage(config, n, **kwargs)
 
     monkeypatch.setattr(coupler, "solve_at_truncation", counting_stage)
     monkeypatch.setattr(coupler, "_MAX_SWEEPS", 1)
-    with pytest.raises(NonConvergenceError, match="even at damping"):
+    with pytest.raises(NonConvergenceError, match="exhausted") as excinfo:
         solve_traveling_wave(flat_like(**striated))
-    assert stage_calls == [1.0, 0.5, 0.25, 0.125]
+    assert stage_calls == [1]
+    err = excinfo.value
+    assert "stage n=1" in str(err)
+    assert err.iterations == 1
+    assert len(err.history) == 1
 
     front_calls = []
 
@@ -262,7 +262,7 @@ def test_stage_retries_outer_failures_but_not_front_failures(monkeypatch):
     with pytest.raises(NonConvergenceError, match="front solve failed"):
         solve_traveling_wave(flat_like(**striated))
     assert len(front_calls) == 1
-    assert stage_calls == [1.0]
+    assert stage_calls == [1]
 
 
 def test_flat_wave_matches_closed_form(flat_wave):

@@ -134,7 +134,7 @@ def test_failure_manifest_records_error_fields(tmp_path):
 
 @pytest.mark.parametrize(
     "path",
-    ["config", "grid", "grid/depth", "speed", "stages", "stages/0/omega",
+    ["config", "grid", "grid/depth", "speed", "stages", "stages/0/sweeps",
      "stages/0/speed_gap", "residuals/front", "final_truncation",
      "floor_inactive", "stop_reason"],
 )
@@ -155,9 +155,14 @@ def test_manifest_missing_key_is_configuration_error(rundir, tmp_path, path):
 def test_unrecognized_manifest_format_rejected(tmp_path):
     outdir = tmp_path / "alien"
     outdir.mkdir()
-    for manifest in ({"format": "other-v9"}, [], "converged", None):
+    old_run = {"format": "frontwave-manifest-v1", "status": "converged"}
+    for manifest in ({"format": "other-v9"}, old_run, [], "converged", None):
         (outdir / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(ConfigurationError):
+        if isinstance(manifest, dict):
+            expected = "unrecognized manifest format"
+        else:
+            expected = "top level must be an object"
+        with pytest.raises(ConfigurationError, match=expected):
             load_wave(outdir)
 
 
