@@ -279,7 +279,9 @@ def solve_at_truncation(
         NonConvergenceError: on a non-finite update or an exhausted budget,
             naming the stage ``n``; the error's history carries the recent
             ``(speed, update)`` pairs so a limit cycle's candidates are all
-            visible.
+            visible.  A failed front Newton solve is re-raised naming the
+            stage and sweep, with the front solve's own iterations, residual
+            and history.
     """
     kinetics = truncate_kinetics(config.kinetics, n)
     rate = config.rate
@@ -289,7 +291,15 @@ def solve_at_truncation(
     updates = []
     speeds = []
     for sweep in range(1, _MAX_SWEEPS + 1):
-        new = _picard_step(state, kinetics, rate, grid)
+        try:
+            new = _picard_step(state, kinetics, rate, grid)
+        except NonConvergenceError as exc:
+            raise NonConvergenceError(
+                f"stage n={n}, sweep {sweep}: {exc}",
+                iterations=exc.iterations,
+                residual=exc.residual,
+                history=exc.history,
+            ) from exc
         delta = float(
             np.max(np.abs(new.psi.values - state.psi.values))
             + abs(new.speed - state.speed)

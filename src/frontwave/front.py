@@ -89,10 +89,6 @@ class Forcing:
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 
-    @property
-    def ny(self) -> int:
-        return self.values.size
-
 
 def _stencil(arr: np.ndarray):
     """Periodic differences at spacing ``h = 1/n``, shared by every front

@@ -1,12 +1,18 @@
 """End-to-end command-line behavior: artifacts, exit codes, stdout."""
 import json
 import math
+import os
+import re
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import frontwave
 import frontwave.cli as cli
 import frontwave.coupler as coupler
 from frontwave import LinearSolverError, TemperatureField
@@ -219,6 +225,8 @@ def test_singular_front_step_is_nonconvergence_with_manifest(tmp_path, monkeypat
     assert manifest["error"] == "NonConvergenceError"
     assert manifest["exit_code"] == 2
     assert "front Newton solve" in manifest["reason"]
+    assert "stage n=1" in manifest["reason"]
+    assert manifest["iterations"] == 0
     assert manifest["history"] == [manifest["residual"]]
 
 
@@ -273,6 +281,35 @@ def test_info_log_level_accepted(solved_run, monkeypatch):
     _, outdir = solved_run
     monkeypatch.setenv("FRONTWAVE_LOG", "info")
     assert main(["diagnose", "--in", str(outdir)]) == 0
+
+
+def test_debug_log_shows_every_sweep_and_temperature_solve(tmp_path):
+    doc = dict(FLAT_DOC, grid={"ny": 8, "nx": 256, "depth": 40.0})
+    outdir = tmp_path / "run"
+    path = [str(Path(frontwave.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, FRONTWAVE_LOG="debug",
+               PYTHONPATH=os.pathsep.join(filter(None, path)))
+    result = subprocess.run(
+        [sys.executable, "-m", "frontwave.cli", "solve",
+         "--config", write_config(tmp_path, doc), "--out", str(outdir)],
+        env=env, capture_output=True, text=True, timeout=120, check=False,
+    )
+    assert result.returncode == 0, result.stderr
+    sweeps = re.findall(r"stage n=(\d+) sweep (\d+): ", result.stderr)
+    assert sweeps == [
+        (str(stage["truncation"]), str(k))
+        for stage in read_manifest(outdir)["stages"]
+        for k in range(1, stage["sweeps"] + 1)
+    ]
+    skipped = result.stderr.count("sweep skipped")
+    errors = re.findall(
+        r"temperature solve: \d+ of 256 rows at c=\S+, backward error (\S+)\n",
+        result.stderr,
+    )
+    # Every sweep that is not skipped solves once, and so do the two
+    # finalize sweeps.
+    assert len(errors) == len(sweeps) - skipped + 2
+    assert all(float(error) <= 1e-12 for error in errors)
 
 
 def test_activation_sweep_parallel(tmp_path, capsys):
