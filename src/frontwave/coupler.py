@@ -11,6 +11,10 @@ the floor no longer binds along the front and the speed stops moving between
 stages.  A stage whose sweeps diverge or run out of budget is not retried: it
 raises ``NonConvergenceError`` with its sweep history.
 
+The wave quotes the last stage's fixed point (profile, trace, field).  No
+sweep follows it: only the forcing is rebuilt from that trace and the speed
+from that forcing, so the speed identity holds exactly.
+
 A sweep whose forcing equals the one that produced the current profile is
 skipped: the front solve would start from its own converged answer and take
 no Newton step, and the temperature solve would repeat the same operator, so
@@ -131,7 +135,9 @@ class StageRecord:
 
 @dataclass(frozen=True)
 class ResidualNorms:
-    """Convergence measures quoted with a finished wave."""
+    """Convergence measures quoted with a finished wave.  ``front`` is taken
+    against the forcing rebuilt from the final trace, so it can exceed the
+    front Newton tolerance by about the last sweep's update."""
 
     front: float
     outer: float
@@ -328,27 +334,14 @@ def solve_at_truncation(
     )
 
 
-def _finalize(state, kinetics_n, rate, grid):
-    """Re-anchor speed, forcing, and trace on one self-consistent state.
-
-    Two more sweeps shrink the one-sweep lag left by the stopping test,
-    after which the quoted forcing is rebuilt from the final trace and the
-    quoted speed from that forcing, making the speed identity exact.
-    """
-    for _ in range(2):
-        state = _picard_step(state, kinetics_n, rate, grid)
-    forcing = build_forcing(kinetics_n, rate, state.theta)
-    speed = compute_speed(forcing, state.psi)
-    return state, forcing, speed
-
-
 def _floor_inactive(base: KineticsModel, theta, n: int) -> bool:
     """Whether the untruncated rate is at least ``1/n`` everywhere on the trace."""
     return bool(np.min(base.evaluate(np.maximum(theta, 0.0))) >= 1.0 / n)
 
 
 def solve_traveling_wave(config: SolverConfig) -> TravelingWave:
-    """Run the full truncation continuation and return the converged wave.
+    """Run the full truncation continuation and return the last stage's
+    fixed point, its forcing and speed re-anchored on its trace.
 
     Raises:
         ConfigurationError: for inconsistent setup (via grid resolution).
@@ -363,8 +356,6 @@ def solve_traveling_wave(config: SolverConfig) -> TravelingWave:
     n = _FIRST_TRUNCATION
     prev_speed = None
     history = []
-    stop_reason = None
-    floor_inactive = False
 
     for _ in range(_MAX_STAGES):
         state, sweeps, updates = solve_at_truncation(
@@ -415,9 +406,8 @@ def solve_traveling_wave(config: SolverConfig) -> TravelingWave:
             history=[rec.speed for rec in history][-8:],
         )
 
-    kinetics_n = truncate_kinetics(base, n)
-    state, forcing, speed = _finalize(state, kinetics_n, rate, grid)
-    floor_inactive = _floor_inactive(base, state.theta, n)
+    forcing = build_forcing(truncate_kinetics(base, n), rate, state.theta)
+    speed = compute_speed(forcing, state.psi)
     front_res = float(np.max(np.abs(front_residual(state.psi, speed, forcing))))
     residuals = ResidualNorms(
         front=front_res,

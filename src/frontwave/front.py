@@ -192,7 +192,8 @@ def relax_front(forcing, initial=None):
 
     Raises:
         NonConvergenceError: if the residual fails to drop below tolerance
-            within the step budget, or no step length decreases it.
+            within the step budget, no step length decreases it, or the
+            equations are not finite.
     """
     H = _periodic_values(forcing, "forcing")
     psi = np.zeros_like(H)
@@ -213,7 +214,8 @@ def relax_front(forcing, initial=None):
 
     psi, c, equations, residual, diffs = evaluate(psi)
     history = [residual]
-    while residual >= _FRONT_TOL and len(history) <= _MAX_NEWTON_STEPS:
+    # Non-finite equations (an overflowing forcing) take no step.
+    while _FRONT_TOL <= residual < np.inf and len(history) <= _MAX_NEWTON_STEPS:
         try:
             dpsi, dc = _newton_step(H, equations, *diffs)
         except np.linalg.LinAlgError:
@@ -230,7 +232,7 @@ def relax_front(forcing, initial=None):
             break  # no step length decreases the equations
         psi, c, equations, residual, diffs = trial
         history.append(residual)
-    if residual >= _FRONT_TOL:
+    if not residual < _FRONT_TOL:
         raise NonConvergenceError(
             "front Newton solve did not reach tolerance",
             iterations=len(history) - 1,

@@ -283,16 +283,42 @@ def test_info_log_level_accepted(solved_run, monkeypatch):
     assert main(["diagnose", "--in", str(outdir)]) == 0
 
 
+def run_cli_process(args, **env):
+    """Run the command line in a fresh interpreter, as the console script does."""
+    path = [str(Path(frontwave.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)), **env)
+    return subprocess.run(
+        [sys.executable, "-m", "frontwave.cli", *args],
+        env=env, capture_output=True, text=True, timeout=120, check=False,
+    )
+
+
+def test_overflowing_forcing_is_nonconvergence_with_manifest(tmp_path):
+    # Every forcing value is finite, but the front's mean of them overflows.
+    # A fresh interpreter keeps numpy's overflow warning a warning.
+    doc = {"kinetics": {"type": "arrhenius", "prefactor": 1e308, "activation": 1.0},
+           "rate": {"type": "piecewise", "edges": [0.0, 0.5], "values": [0.5, 1.5]},
+           "grid": {"ny": 8}}
+    outdir = tmp_path / "run"
+    result = run_cli_process(
+        ["solve", "--config", write_config(tmp_path, doc), "--out", str(outdir)]
+    )
+    assert result.returncode == 2, result.stderr
+    manifest = read_manifest(outdir)
+    assert manifest["status"] == "failed"
+    assert manifest["error"] == "NonConvergenceError"
+    assert manifest["reason"] == (
+        "stage n=1, sweep 1: front Newton solve did not reach tolerance"
+    )
+    assert manifest["iterations"] == 0
+
+
 def test_debug_log_shows_every_sweep_and_temperature_solve(tmp_path):
     doc = dict(FLAT_DOC, grid={"ny": 8, "nx": 256, "depth": 40.0})
     outdir = tmp_path / "run"
-    path = [str(Path(frontwave.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, FRONTWAVE_LOG="debug",
-               PYTHONPATH=os.pathsep.join(filter(None, path)))
-    result = subprocess.run(
-        [sys.executable, "-m", "frontwave.cli", "solve",
-         "--config", write_config(tmp_path, doc), "--out", str(outdir)],
-        env=env, capture_output=True, text=True, timeout=120, check=False,
+    result = run_cli_process(
+        ["solve", "--config", write_config(tmp_path, doc), "--out", str(outdir)],
+        FRONTWAVE_LOG="debug",
     )
     assert result.returncode == 0, result.stderr
     sweeps = re.findall(r"stage n=(\d+) sweep (\d+): ", result.stderr)
@@ -306,9 +332,8 @@ def test_debug_log_shows_every_sweep_and_temperature_solve(tmp_path):
         r"temperature solve: \d+ of 256 rows at c=\S+, backward error (\S+)\n",
         result.stderr,
     )
-    # Every sweep that is not skipped solves once, and so do the two
-    # finalize sweeps.
-    assert len(errors) == len(sweeps) - skipped + 2
+    # Every sweep that is not skipped solves once, and nothing else does.
+    assert len(errors) == len(sweeps) - skipped == 6
     assert all(float(error) <= 1e-12 for error in errors)
 
 
@@ -386,7 +411,7 @@ def test_sweep_rejects_bad_axes(tmp_path):
 
 
 def test_sweep_mixed_verdicts_exit_3(tmp_path, capsys, monkeypatch):
-    # Three sweeps per attempt settle the flat stages at outer_tol=1e-4 but
+    # Three sweeps per stage settle the flat stages at outer_tol=1e-4 but
     # not at 1e-12, which needs four at n=4.
     monkeypatch.setattr(coupler, "_MAX_SWEEPS", 3)
     outdir = tmp_path / "sweep"

@@ -1,6 +1,7 @@
 """Outer fixed-point loop, truncation continuation, and the full solve."""
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from frontwave import (
     SmoothRate,
     SolverConfig,
     build_forcing,
+    compute_speed,
     front_residual,
     resolve_grid,
     solve_at_truncation,
@@ -176,9 +178,9 @@ def test_skipped_sweeps_still_count_and_are_logged(monkeypatch, caplog):
         f"stage n=2 sweep 2: speed {wave.history[1].speed:.12g}, update 0 "
         "(forcing already solved; sweep skipped)"
     ]
-    # One front and one temperature solve per sweep, two more to finalize,
-    # none for the skipped sweep.
-    assert calls["relax_front"] == calls["solve_temperature"] == 7 + 2 - 1
+    # One front and one temperature solve per sweep, none for the skipped
+    # sweep, and none after the last stage.
+    assert calls["relax_front"] == calls["solve_temperature"] == 7 - 1
 
 
 def test_undamped_iteration_converges_quickly_for_uniform_rate():
@@ -317,6 +319,36 @@ def test_self_consistency_at_convergence(striated_wave):
     assert wave.residuals.trace_deviation == pytest.approx(
         abs(np.mean(wave.theta) - 1.0), abs=1e-15
     )
+
+
+def test_wave_quotes_the_last_stage_state(striated_wave, striated_config, monkeypatch):
+    wave = striated_wave
+    kinetics = truncate_kinetics(wave.kinetics, wave.final_truncation)
+    rebuilt = build_forcing(kinetics, wave.rate, wave.theta)
+    assert np.array_equal(wave.forcing.values, rebuilt.values)
+    assert wave.speed == compute_speed(wave.forcing, wave.psi)
+    assert wave.floor_inactive == wave.history[-1].floor_inactive
+
+    # Record, in order, what each stage and each temperature solve returns.
+    events = []
+    for name in ("solve_at_truncation", "solve_temperature"):
+        real = getattr(coupler, name)
+
+        def wrapper(*args, _real=real, _name=name, **kwargs):
+            result = _real(*args, **kwargs)
+            events.append((_name, result))
+            return result
+
+        monkeypatch.setattr(coupler, name, wrapper)
+    again = solve_traveling_wave(replace(striated_config, run_diagnostics=False))
+    assert again.speed == wave.speed
+    assert np.array_equal(again.field.values, wave.field.values)
+    # Nothing is solved after the last stage, whose field is the quoted one.
+    (last_event, (state, _, _)) = events[-1]
+    assert last_event == "solve_at_truncation"
+    fields = [result for name, result in events if name == "solve_temperature"]
+    assert again.field is state.field is fields[-1]
+    assert again.psi is state.psi
 
 
 def test_striated_speed_within_analytic_bracket(striated_wave):

@@ -281,6 +281,19 @@ def test_relax_failed_step_is_nonconvergence_with_history(monkeypatch, failure):
     assert err.residual > front._FRONT_TOL
 
 
+@pytest.mark.parametrize("profile", ["flat", "tilted"])
+def test_relax_overflowing_equations_are_nonconvergence(profile):
+    # Finite forcing whose front mean overflows: on a flat start the residual
+    # is inf, on a tilted one inf - inf = nan.  Neither reaches a banded solve.
+    y = nodes(8)
+    initial = None if profile == "flat" else FrontProfile(1.0 + np.sin(TWO_PI * y))
+    with pytest.raises(NonConvergenceError) as excinfo, pytest.warns(RuntimeWarning):
+        relax_front(Forcing(np.full(8, 1.5e308)), initial)
+    err = excinfo.value
+    assert err.iterations == 0
+    assert not np.isfinite(err.residual)
+
+
 def test_relax_output_satisfies_speed_identity_and_residual_bound():
     y = nodes(64)
     forcing = Forcing(1.0 + 0.5 * np.cos(TWO_PI * y))
