@@ -76,9 +76,9 @@ class SolverConfig:
     """Everything needed to set up and run the coupled solver.
 
     ``nx`` and ``depth`` may be left unset, in which case the strip is sized
-    from the kinetics: deep enough for the cold tail of the slowest admissible
-    wave, fine enough in X that the fastest truncation stage keeps a centered-
-    scheme-friendly advection cell number.
+    from the kinetics: ``depth`` spans the cold tail of the slowest admissible
+    wave and ``depth / nx`` is the solve's ``hx``, fine enough in X that the
+    fastest truncation stage keeps a centered-scheme advection cell number.
     """
 
     kinetics: KineticsModel

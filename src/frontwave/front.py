@@ -206,11 +206,13 @@ def relax_front(forcing, initial=None):
         """Equations, stopping residual and step inputs at ``(psi, c)``."""
         dplus, slope, _, curv = _stencil(psi)
         arc = np.sqrt(1.0 + slope * slope)
-        push = H * arc
-        speed = float(np.mean(push))
-        c = speed if c is None else c
-        residual = float(np.max(np.abs(curv + speed - push)))
-        return psi, c, curv + c - push, residual, (dplus, slope, arc)
+        with np.errstate(over="ignore", invalid="ignore"):
+            push = H * arc
+            speed = float(np.mean(push))
+            c = speed if c is None else c
+            equations = curv + c - push
+            residual = float(np.max(np.abs(curv + speed - push)))
+        return psi, c, equations, residual, (dplus, slope, arc)
 
     psi, c, equations, residual, diffs = evaluate(psi)
     history = [residual]

@@ -1,12 +1,12 @@
-"""Temperature field behind the front, solved on a mapped periodic strip.
+"""Temperature field behind the front, solved on a mapped semi-infinite strip.
 
 The half-plane ahead of the front is straightened by the shear map
-``X = x - psi(y)``, turning the advection-diffusion problem into a strip
-problem on ``[-depth, 0] x [0, 1)`` with y-periodicity:
+``X = x - psi(y)``, turning the advection-diffusion problem into a problem
+on the strip ``X < 0``, ``0 <= y < 1`` with y-periodicity:
 
     (c + psi_yy) v_X - (1 + psi_y^2) v_XX + 2 psi_y v_XY - v_YY = 0,
 
-with ``v = 0`` at the cold end ``X = -depth`` and the flux condition
+with ``v`` decaying as ``X -> -inf`` and the flux condition
 ``(1 + psi_y^2) v_X - psi_y v_Y = c`` on the front line ``X = 0``.
 
 Discretization: centered second-order differences on the nine-point stencil
@@ -18,29 +18,24 @@ style bounds survive discretization.
 
 The operator is block-tridiagonal in X with periodic bands in Y: each node
 line couples to itself and its X-neighbours through bands that wrap around
-in Y (three-point in the interior, five-point on the flux row).  It is
-assembled from ``kron(X-offset, Y-band)`` terms in coordinate form, whose
-entries are concatenated and converted to CSC once.
-
-Only the warm part of the strip is solved.  Behind a front moving at speed
-``c`` the temperature decays like ``e^{cX}``, so beyond ``X = -30/c`` it is
-below ``e^{-30} ~ 9e-14``, under the ``1e-12`` backward-error target of the
-solve.  Each solve therefore factors only the rows within that reach of the
-front (at least 16, at most ``nx``), with the grid's own ``hx`` and the
-Dirichlet end moved to the last of them; the rows beyond it are exact zeros.
-``depth`` is the envelope for the slowest wave the grid must carry.  The
-discrete tail decays at the rate ``c`` once the front is resolved in Y; a
-steep front on a coarse Y grid decays more slowly (a 0.3 cosine at
-``ny = 8``: about ``e^{0.82 cX}``, a truncation error near 2e-11).
+in Y (three-point in the interior, five-point on the flux row).  Interior
+lines all hold the same bands, so the solve needs one ``ny x ny`` solvent
+(``solve_temperature``); ``depth`` sets only ``hx`` and the rows shown.
+``assemble_system`` builds, from ``kron(X-offset, Y-band)`` terms, the
+operator of a finite strip with ``v = 0`` at its cold end; it checks solves.
 """
 from __future__ import annotations
 
+import ctypes
 import logging
 import math
+import sys
+import threading
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
-from scipy import sparse
+from scipy import linalg, sparse
 from scipy.sparse import linalg as sparse_linalg
 
 from .errors import ConfigurationError, LinearSolverError
@@ -55,14 +50,64 @@ __all__ = [
 ]
 
 _RESIDUAL_TOL = 1e-12
-# Decay exponent c*|X| at which the solved part of the strip ends:
-# e^{-30} ~ 9e-14 lies below _RESIDUAL_TOL.
-_WARM_DECAY = 30.0
-# Columns per panel of SuperLU's supernodal factorization (see
-# solve_temperature for the scan behind the value).
-_PANEL_SIZE = 6
+# The tail behind the front ends at the first row below this share of the trace.
+_TAIL_CUT = 1e-14
+# Thread-count symbols of numpy's (``@``) and scipy's (``linalg``) OpenBLAS.
+_OPENBLAS = (
+    ("numpy", "scipy_openblas_%s_num_threads64_"),
+    ("scipy", "scipy_openblas_%s_num_threads"),
+)
 
 logger = logging.getLogger("frontwave")
+
+
+def _openblas_controls() -> list:
+    """``(get, set)`` thread-count functions of each bundled OpenBLAS found."""
+    controls, states = [], []
+    for package, symbol in _OPENBLAS:
+        libs = Path(sys.modules[package].__file__).parents[1] / f"{package}.libs"
+        try:
+            lib = ctypes.CDLL(str(next(libs.glob("libscipy_openblas*.so"))))
+            get, set_threads = getattr(lib, symbol % "get"), getattr(lib, symbol % "set")
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            controls.append((get, set_threads))
+            states.append(f"{package} pinned")
+        except (StopIteration, OSError, AttributeError):
+            states.append(f"{package} unpinned")
+    logger.debug("BLAS thread pin: %s", ", ".join(states))
+    return controls
+
+
+class _BlasPin:
+    """Holds every bundled OpenBLAS at one thread while any solve runs: on
+    ``ny x ny`` blocks a worker thread costs more than it gains, and its
+    busy-wait takes the core of a concurrent ``sweep`` row.  The counts are
+    process-wide, so the first solve in saves and sets them and the last one
+    out restores them.  The symbols are looked up on the first solve."""
+
+    def __init__(self):
+        self.lock, self.controls, self.active, self.saved = threading.Lock(), None, 0, []
+
+    def __enter__(self):
+        with self.lock:
+            if self.controls is None:
+                self.controls = _openblas_controls()
+            if not self.active:
+                self.saved = [get() for get, _ in self.controls]
+                for _, set_threads in self.controls:
+                    set_threads(1)
+            self.active += 1
+
+    def __exit__(self, *exc_info):
+        with self.lock:
+            self.active -= 1
+            if not self.active:
+                for (_, set_threads), count in zip(self.controls, self.saved):
+                    set_threads(count)
+
+
+_BLAS_PIN = _BlasPin()
 
 
 @dataclass(frozen=True)
@@ -142,17 +187,10 @@ def periodic_band(n: int, legs) -> sparse.coo_matrix:
     return sparse.coo_matrix((data, (np.tile(rows, len(legs)), cols)), shape=(n, n))
 
 
-def assemble_system(psi: FrontProfile, c: float, grid: StripGrid):
-    """Build the sparse (CSC) operator and right-hand side for the strip problem.
-
-    Unknowns are the nodes ``i = 1..nx`` (the cold-end Dirichlet row is
-    eliminated), numbered row-major as ``(i - 1) * ny + j``.
-
-    Raises:
-        ValueError: on dimension mismatch or a nonpositive speed.
-        ConfigurationError: if the advection cell number ``c * hx`` exceeds 2,
-            for which the centered scheme loses its sign structure.
-    """
+def _strip_bands(psi: FrontProfile, c: float, grid: StripGrid):
+    """Y-band legs of the strip operator, ``bands[k]`` at X-offset ``k`` of an
+    interior line, then the flux row's legs, back-leg diagonal and right-hand
+    side: one stencil for both solvers.  Raises as ``assemble_system``."""
     if psi.ny != grid.ny:
         raise ValueError("front profile size does not match the grid")
     if not (np.isfinite(c) and c > 0.0):
@@ -163,7 +201,6 @@ def assemble_system(psi: FrontProfile, c: float, grid: StripGrid):
             f"advection cell number c*hx = {c * hx:.3g} exceeds 2; refine nx"
         )
 
-    nx, ny = grid.nx, grid.ny
     slope, second = front_derivatives(psi)
     d = 1.0 + slope * slope
     a = c + second
@@ -172,39 +209,55 @@ def assemble_system(psi: FrontProfile, c: float, grid: StripGrid):
     uu = -a / (2.0 * hx) - d / (hx * hx)
     diag = 2.0 * d / (hx * hx) + 2.0 / (hy * hy)
     m4 = slope / (2.0 * hx * hy)
-    gamma = 1.0 + (a * hx / d) ** 2 / 6.0
-    beta = 2.0 * hx * gamma / d
+    beta = 2.0 * hx * (1.0 + (a * hx / d) ** 2 / 6.0) / d
 
     lap_y = -1.0 / (hy * hy)
-    # Interior rows i = 1..nx-1, one Y-band per X-offset; eye() drops the
-    # leg of row 1 that reaches the Dirichlet row i = 0.  kron is asked for
-    # COO: by default it returns BSR, whose dense blocks store zeros.
-    blocks = [
-        (0, sparse.kron(sparse.eye(nx - 1, nx, k), periodic_band(ny, legs), "coo"))
-        for k, legs in (
-            (0, [(0, diag), (1, lap_y), (-1, lap_y)]),
-            (1, [(0, w), (1, m4), (-1, -m4)]),
-            (-1, [(0, uu), (1, -m4), (-1, m4)]),
-        )
-    ]
-
-    # Flux row i = nx: ghost line eliminated through the de-biased centered
-    # flux; the ghost values of the y-neighbors enter through the mixed term
-    # and widen the row to j +/- 2.
+    bands = {
+        0: [(0, diag), (1, lap_y), (-1, lap_y)],
+        1: [(0, w), (1, m4), (-1, -m4)],
+        -1: [(0, uu), (1, -m4), (-1, m4)],
+    }
+    # Flux row: ghost line eliminated through the de-biased centered flux;
+    # the ghost values of the y-neighbors enter through the mixed term and
+    # widen the row to j +/- 2.
     mix = beta * slope / (2.0 * hy)
     mix_up, mix_down = np.roll(mix, -1), np.roll(mix, 1)
-    flux_band = periodic_band(ny, [
+    flux = [
         (0, diag - m4 * (mix_up + mix_down)),
         (1, lap_y + w * mix),
         (-1, lap_y - w * mix),
         (2, m4 * mix_up),
         (-2, m4 * mix_down),
-    ])
-    back = sparse.diags(-2.0 * d / (hx * hx))
+    ]
+    beta_dy = np.roll(beta, -1) - np.roll(beta, 1)
+    return bands, flux, -2.0 * d / (hx * hx), -c * (w * beta + m4 * beta_dy)
+
+
+def assemble_system(psi: FrontProfile, c: float, grid: StripGrid):
+    """Build the sparse (CSC) operator and right-hand side for the strip
+    problem with ``v = 0`` at the cold end ``X = -depth``.
+
+    Unknowns are the nodes ``i = 1..nx`` (the cold-end Dirichlet row is
+    eliminated), numbered row-major as ``(i - 1) * ny + j``.
+
+    Raises:
+        ValueError: on dimension mismatch or a nonpositive speed.
+        ConfigurationError: if the advection cell number ``c * hx`` exceeds 2,
+            for which the centered scheme loses its sign structure.
+    """
+    bands, flux, back, flux_rhs = _strip_bands(psi, c, grid)
+    nx, ny = grid.nx, grid.ny
+    # Interior rows i = 1..nx-1, one Y-band per X-offset; eye() drops the
+    # leg of row 1 that reaches the Dirichlet row i = 0.  kron is asked for
+    # COO: by default it returns BSR, whose dense blocks store zeros.
+    blocks = [
+        (0, sparse.kron(sparse.eye(nx - 1, nx, k), periodic_band(ny, legs), "coo"))
+        for k, legs in bands.items()
+    ]
     flux_start = (nx - 1) * ny
     blocks += [
-        (flux_start, sparse.kron(sparse.eye(1, nx, nx - 1), flux_band, "coo")),
-        (flux_start, sparse.kron(sparse.eye(1, nx, nx - 2), back, "coo")),
+        (flux_start, sparse.kron(sparse.eye(1, nx, nx - 1 + k), band, "coo"))
+        for k, band in ((0, periodic_band(ny, flux)), (-1, sparse.diags(back)))
     ]
 
     # One conversion for all terms; the mixed legs of a flat or locally flat
@@ -217,8 +270,7 @@ def assemble_system(psi: FrontProfile, c: float, grid: StripGrid):
     matrix.eliminate_zeros()
 
     rhs = np.zeros(nx * ny)
-    beta_dy = np.roll(beta, -1) - np.roll(beta, 1)
-    rhs[flux_start:] = -c * (w * beta + m4 * beta_dy)
+    rhs[flux_start:] = flux_rhs
     return matrix, rhs
 
 
@@ -236,71 +288,79 @@ def _backward_error(matrix, solution, rhs) -> float:
     like ``1/h^2``, so a plain ``|r|/|b|`` quotient has a double-precision
     floor above 1e-12 on fine grids even for a perfectly solved system.
 
-    The norms are pairwise ``np.sum`` reductions, not ``np.linalg.norm``:
-    that is ``sqrt(dot(x, x))``, and numpy's OpenBLAS runs ``ddot`` on
-    several threads once a vector has more than 10,000 entries (a strip
-    with 157 or more rows at ny = 64).  Its idle worker thread then
-    busy-waits on a second core, the one a solve on another thread (a
-    ``sweep --jobs 2`` row) needs.
+    The norms are pairwise ``np.sum`` reductions, not ``np.linalg.norm``,
+    whose OpenBLAS ``ddot`` runs threaded above 10,000 entries and busy-waits
+    on the core that a concurrent ``sweep --jobs 2`` row needs.
     """
     error = _norm(rhs - matrix @ solution)
     scale = _norm(abs(matrix) @ np.abs(solution) + np.abs(rhs))
     return error / scale if scale else error
 
 
+def _solvent(W: np.ndarray, D: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """Minimal solvent ``G`` of ``W + D G + U G^2 = 0`` by cyclic reduction
+    (Bini & Meini, Numer. Algorithms 51, 2009), quadratically convergent
+    with ratio ``rho(G)``.  A ``G`` left inexact at the step cap fails the
+    solve's backward-error check."""
+    A0, A1, A2, hat = W, D, U, D
+    for _ in range(64):  # about log2(35 / (c * hx)) steps are taken
+        if np.max(np.abs(A0)) <= 1e-15 * np.max(np.abs(A1)):
+            break
+        K0, K2 = np.hsplit(linalg.lu_solve(linalg.lu_factor(A1), np.hstack([A0, A2])), 2)
+        A1 = A1 - A0 @ K2 - A2 @ K0
+        hat = hat - A2 @ K0
+        A0, A2 = -A0 @ K0, -A2 @ K2
+    return -linalg.lu_solve(linalg.lu_factor(hat), W)
+
+
 def solve_temperature(psi: FrontProfile, c: float, grid: StripGrid) -> TemperatureField:
-    """Solve the strip problem for a frozen front profile and speed.
+    """Solve the semi-infinite strip problem for a frozen front and speed.
 
-    Only the warm part of the strip is solved: the ``ceil(30 / (c * hx))``
-    rows nearest the front (at least 16, at most ``nx``), where the
-    ``e^{cX}`` tail is still above ``e^{-30} ~ 9e-14``.  The Dirichlet end
-    sits at ``X = -rows * hx`` and the rows beyond it are exact zeros of the
-    returned full-grid field; when ``rows == nx`` this is the whole strip.
+    Every interior line holds the Y-bands ``U, D, W`` at X-offsets -1, 0, +1,
+    so the decaying solutions are ``v_{i-1} = G v_i``, ``G`` the minimal
+    solvent of ``W + D G + U G^2 = 0`` (``rho(G) ~ e^{-c hx}``).  The trace
+    solves the ``ny x ny`` flux system ``(F + B G) v = r`` (one sparse LU,
+    one solve); the rows behind it are ``G v, G^2 v, ...`` up to the first
+    below ``1e-14`` of the trace (at least 16 rows, at most ``nx + 1``), and
+    the rows beyond are zeros.  ``depth`` sets only ``hx``: when the tail is
+    longer than the grid, ``values[0]`` holds its continuation ``G v_1``.
 
-    Factors the warm operator once by sparse LU with partial pivoting, solves
-    once, and checks the normwise backward error of that one solution against
-    ``1e-12``; no correction step follows.  LU with partial pivoting is
-    backward stable while its growth factor stays small, and on every input
-    measured the solution's backward error was at most about ``1e-16``.
-
-    The columns are ordered by minimum degree on the pattern of ``A + A^T``:
-    the nine-point strip operator is structurally symmetric apart from the
-    flux row, so this ordering fits it and fills about half as much as the
-    default COLAMD, which orders for ``A^T A``.  SuperLU works on panels of
-    6 columns in place of its default width: a factor-only scan of every
-    matrix the ``flat``, ``striated`` and ``sweep`` benchmark workloads
-    factor, and of a 311x128 warm strip, over panel widths 2 to 16, found 6
-    faster than the default on all four in each of three runs (by 6-23%).
-    The panel width changes neither the column ordering nor the fill; only
-    the order of the arithmetic moves, by about 1e-13 in the speed.
+    Check: the normwise backward error of the returned rows against
+    ``assemble_system`` over the same rows, with the far leg ``U G v_first``
+    moved into the right-hand side, must be at most ``1e-12``.  No
+    correction step follows.
 
     Raises:
         ValueError: on a nonpositive or nonfinite speed.
+        ConfigurationError: if ``c * hx`` exceeds 2, before any factorization.
         LinearSolverError: if factorization fails, or the backward error of
-            the solution is above ``1e-12`` or not a number; the error's
+            the returned rows is above ``1e-12`` or not a number; the error's
             ``residual`` is that backward error.
     """
-    if not (np.isfinite(c) and c > 0.0):
-        raise ValueError("speed must be positive and finite")
-    # c * depth <= 30 means the tail reaches the cold end: solve every row.
-    # Otherwise c * hx > 30 / nx, so the quotient is finite and below nx.
-    cells = _WARM_DECAY / (c * grid.hx) if c * grid.depth > _WARM_DECAY else grid.nx
-    rows = min(grid.nx, max(16, math.ceil(cells)))
-    warm = grid if rows == grid.nx else StripGrid(rows, grid.ny, rows * grid.hx)
+    bands, flux, back, flux_rhs = _strip_bands(psi, c, grid)
+    U, D, W = (periodic_band(grid.ny, bands[k]).toarray() for k in (-1, 0, 1))
+    with _BLAS_PIN:
+        G = _solvent(W, D, U)
+        trace_matrix = periodic_band(grid.ny, flux).toarray() + back[:, None] * G
+        try:
+            lu = sparse_linalg.splu(sparse.csc_matrix(trace_matrix))
+        except RuntimeError as exc:
+            raise LinearSolverError(f"sparse factorization failed: {exc}") from exc
+        tail = [lu.solve(flux_rhs)]
+        cut = _TAIL_CUT * np.max(np.abs(tail[0]))
+        while len(tail) <= grid.nx and (len(tail) < 16 or abs(tail[-1]).max() >= cut):
+            tail.append(G @ tail[-1])
+        far_leg = U @ (G @ tail[-1])
 
-    matrix, rhs = assemble_system(psi, c, warm)
-    try:
-        lu = sparse_linalg.splu(
-            matrix, permc_spec="MMD_AT_PLUS_A", panel_size=_PANEL_SIZE
-        )
-    except RuntimeError as exc:
-        raise LinearSolverError(f"sparse factorization failed: {exc}") from exc
-
-    solution = lu.solve(rhs)
-    relative = _backward_error(matrix, solution, rhs)
+    rows = len(tail)
+    values = np.zeros((grid.nx + 1, grid.ny))
+    values[grid.nx + 1 - rows :] = tail[::-1]
+    matrix, rhs = assemble_system(psi, c, StripGrid(rows, grid.ny, rows * grid.hx))
+    rhs[: grid.ny] -= far_leg
+    relative = _backward_error(matrix, values[-rows:].ravel(), rhs)
     logger.debug(
         "temperature solve: %d of %d rows at c=%.6g, backward error %.3e",
-        rows, grid.nx, c, relative,
+        rows, grid.nx + 1, c, relative,
     )
     if not relative <= _RESIDUAL_TOL:
         raise LinearSolverError(
@@ -308,9 +368,6 @@ def solve_temperature(psi: FrontProfile, c: float, grid: StripGrid) -> Temperatu
             f"(backward error {relative:.3e})",
             residual=relative,
         )
-
-    values = np.zeros((grid.nx + 1, grid.ny))
-    values[grid.nx - rows + 1 :] = solution.reshape(rows, grid.ny)
     return TemperatureField(grid=grid, values=values, speed=float(c))
 
 

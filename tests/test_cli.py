@@ -295,7 +295,7 @@ def run_cli_process(args, **env):
 
 def test_overflowing_forcing_is_nonconvergence_with_manifest(tmp_path):
     # Every forcing value is finite, but the front's mean of them overflows.
-    # A fresh interpreter keeps numpy's overflow warning a warning.
+    # A fresh interpreter would print numpy's overflow warning to stderr.
     doc = {"kinetics": {"type": "arrhenius", "prefactor": 1e308, "activation": 1.0},
            "rate": {"type": "piecewise", "edges": [0.0, 0.5], "values": [0.5, 1.5]},
            "grid": {"ny": 8}}
@@ -304,6 +304,7 @@ def test_overflowing_forcing_is_nonconvergence_with_manifest(tmp_path):
         ["solve", "--config", write_config(tmp_path, doc), "--out", str(outdir)]
     )
     assert result.returncode == 2, result.stderr
+    assert "RuntimeWarning" not in result.stderr
     manifest = read_manifest(outdir)
     assert manifest["status"] == "failed"
     assert manifest["error"] == "NonConvergenceError"
@@ -329,11 +330,14 @@ def test_debug_log_shows_every_sweep_and_temperature_solve(tmp_path):
     ]
     skipped = result.stderr.count("sweep skipped")
     errors = re.findall(
-        r"temperature solve: \d+ of 256 rows at c=\S+, backward error (\S+)\n",
+        r"temperature solve: \d+ of 257 rows at c=\S+, backward error (\S+)\n",
         result.stderr,
     )
-    # Every sweep that is not skipped solves once, and nothing else does.
+    # Every sweep that is not skipped solves once, and nothing else does;
+    # no other line carries the marker a plain grep counts.
     assert len(errors) == len(sweeps) - skipped == 6
+    assert result.stderr.count("temperature solve:") == len(errors)
+    assert result.stderr.count("BLAS thread pin: ") == 1
     assert all(float(error) <= 1e-12 for error in errors)
 
 

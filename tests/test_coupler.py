@@ -390,6 +390,24 @@ def test_grid_stability_on_acceptance_cases(flat_wave, striated_wave, striated_c
     assert abs(doubled_striated.speed - striated_wave.speed) <= 1e-3
 
 
+@pytest.mark.parametrize(
+    "activation, ny, nx", [(4.0, 64, 5632), (1.0, 128, 512)], ids=["B4", "ny128"]
+)
+def test_striated_harder_grids_pass_every_diagnostic(activation, ny, nx):
+    """Arrhenius B = 4 (c about 0.018, auto grid 5632 x 64) and the default
+    medium at ny = 128 pass every check at the standing tolerances."""
+    wave = solve_traveling_wave(
+        SolverConfig(
+            kinetics=ArrheniusKinetics(prefactor=1.0, activation=activation),
+            rate=PiecewiseConstantRate(edges=(0.0, 0.5), values=(0.5, 1.5)),
+            ny=ny,
+        )
+    )
+    assert (wave.grid.nx, wave.grid.ny) == (nx, ny)
+    failed = [check.name for check in wave.report.checks if not check.passed]
+    assert failed == []
+
+
 def test_wave_report_attached_only_when_requested(flat_wave):
     assert flat_wave.report is not None
     silent = solve_traveling_wave(flat_like(run_diagnostics=False))

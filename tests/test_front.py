@@ -284,14 +284,26 @@ def test_relax_failed_step_is_nonconvergence_with_history(monkeypatch, failure):
 @pytest.mark.parametrize("profile", ["flat", "tilted"])
 def test_relax_overflowing_equations_are_nonconvergence(profile):
     # Finite forcing whose front mean overflows: on a flat start the residual
-    # is inf, on a tilted one inf - inf = nan.  Neither reaches a banded solve.
+    # is inf, on a tilted one inf - inf = nan.  Neither reaches a banded solve,
+    # and neither raises numpy's overflow or invalid-value warning (pytest
+    # turns a warning into a failure here).
     y = nodes(8)
     initial = None if profile == "flat" else FrontProfile(1.0 + np.sin(TWO_PI * y))
-    with pytest.raises(NonConvergenceError) as excinfo, pytest.warns(RuntimeWarning):
+    with pytest.raises(NonConvergenceError) as excinfo:
         relax_front(Forcing(np.full(8, 1.5e308)), initial)
     err = excinfo.value
     assert err.iterations == 0
     assert not np.isfinite(err.residual)
+
+
+def test_relax_overflowing_layered_forcing_is_nonconvergence_without_warning():
+    # The forcing of Arrhenius prefactor 1e308 on rates 0.5/1.5 at a unit
+    # trace: every value is finite and only the mean over the front overflows.
+    forcing = Forcing(np.array([0.5] * 4 + [1.5] * 4) * 1e308 * np.exp(-1.0))
+    with pytest.raises(NonConvergenceError) as excinfo:
+        relax_front(forcing)
+    assert excinfo.value.iterations == 0
+    assert excinfo.value.residual == np.inf
 
 
 def test_relax_output_satisfies_speed_identity_and_residual_bound():

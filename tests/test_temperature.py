@@ -1,10 +1,15 @@
 """Mapped-strip advection-diffusion solve and its exact-solution checks."""
 import logging
+import math
 import re
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse.linalg import splu
 
 import frontwave.temperature as temperature
 from frontwave import (
@@ -162,31 +167,61 @@ def cosine_front(ny, amplitude=0.3):
     return FrontProfile(amplitude * (1.0 - np.cos(2.0 * np.pi * np.arange(ny) / ny)))
 
 
-def test_curved_solve_matches_dense_solve(monkeypatch):
-    factored = []
-    splu = temperature.sparse_linalg.splu
+def deep_strip_rows(psi, c, grid):
+    """Sparse reference for the semi-infinite strip: ``assemble_system`` and
+    one ``splu`` solve on a Dirichlet strip with the grid's ``hx``, at least
+    ``nx + 1`` rows deep and deep enough that ``e^{-c depth} < 1e-16``.
+    Returns its rows, the trace last."""
+    rows = max(grid.nx + 1, math.ceil(40.0 / (c * grid.hx)))
+    deep = StripGrid(nx=rows, ny=grid.ny, depth=rows * grid.hx)
+    matrix, rhs = assemble_system(psi, c, deep)
+    # Bound at import, so a test that patches the solve's splu leaves it be.
+    return splu(matrix).solve(rhs).reshape(rows, grid.ny)
 
-    def recording_splu(matrix, **options):
+
+def recording_splu(monkeypatch):
+    """Record the shape of every matrix the solve factors."""
+    factored = []
+
+    def record(matrix, **options):
         factored.append(matrix.shape)
         return splu(matrix, **options)
 
-    monkeypatch.setattr(temperature.sparse_linalg, "splu", recording_splu)
+    monkeypatch.setattr(temperature.sparse_linalg, "splu", record)
+    return factored
+
+
+def test_curved_solve_matches_dense_solve(monkeypatch):
+    """Every row matches the deep-strip reference, and the one sparse LU is
+    the ``ny x ny`` trace system."""
+    factored = recording_splu(monkeypatch)
     cases = [
-        (StripGrid(nx=32, ny=8, depth=8.0), cosine_front(8), 32),
-        # c * hx = 0.3125: only ceil(30 / 0.3125) = 96 rows are warm.  The
-        # front is gentle because at ny = 8 a 0.3 cosine is under-resolved
-        # and its discrete tail decays like e^{0.82 cX}, not e^{cX}.
-        (StripGrid(nx=256, ny=8, depth=160.0), cosine_front(8, 0.05), 96),
+        # c * depth = 4: the tail is longer than the grid, and values[0]
+        # holds its continuation, not a Dirichlet zero.
+        (StripGrid(nx=32, ny=8, depth=8.0), cosine_front(8)),
+        # The tail falls below 1e-14 of the trace long before the cold end.
+        (StripGrid(nx=256, ny=8, depth=160.0), cosine_front(8, 0.05)),
     ]
-    for grid, psi, warm_rows in cases:
+    fields = []
+    for grid, psi in cases:
         factored.clear()
-        matrix, rhs = assemble_system(psi, 0.5, grid)
-        reference = np.linalg.solve(matrix.toarray(), rhs)
-        field = solve_temperature(psi, 0.5, grid)
-        solution = field.values[1:].ravel()
-        assert np.linalg.norm(solution - reference) <= 1e-12 * np.linalg.norm(reference)
-        assert factored == [(warm_rows * 8, warm_rows * 8)]
-        assert np.all(field.values[: grid.nx - warm_rows + 1] == 0.0)
+        fields.append(solve_temperature(psi, 0.5, grid))
+        reference = deep_strip_rows(psi, 0.5, grid)[-(grid.nx + 1) :]
+        error = np.max(np.abs(fields[-1].values - reference))
+        assert error <= 1e-12 * np.max(np.abs(reference))
+        assert factored == [(8, 8)]
+    assert np.all(fields[0].values[0] > 0.0)
+    assert np.all(fields[1].values[:150] == 0.0)
+
+
+def test_coarse_steep_front_trace_matches_deep_strip():
+    """A 0.3 cosine at ny = 8 has a discrete tail decaying like e^{0.82 cX}:
+    a strip cut where e^{cX} reaches e^{-30} put 1.2e-10 into its trace."""
+    grid = StripGrid(nx=256, ny=8, depth=160.0)
+    psi = cosine_front(8)
+    field = solve_temperature(psi, 0.5, grid)
+    reference = deep_strip_rows(psi, 0.5, grid)
+    assert np.max(np.abs(field.trace - reference[-1])) <= 1e-12
 
 
 @pytest.mark.parametrize("speed", [0.0, -1.0, np.nan, np.inf])
@@ -250,6 +285,9 @@ def test_large_warm_strip_solves_without_blas_reductions(monkeypatch, caplog):
     grid = StripGrid(nx=256, ny=64, depth=80.0)
     psi = cosine_front(64, 0.05)
     reference = solve_temperature(psi, 0.5, grid)
+    # The tail ends at the first deep-strip row below 1e-14 of the trace.
+    deep = deep_strip_rows(psi, 0.5, grid)[::-1]
+    below = np.max(np.abs(deep), axis=1) < 1e-14 * np.max(np.abs(deep[0]))
 
     def forbidden(*args, **kwargs):
         raise AssertionError("BLAS-backed reduction called")
@@ -261,9 +299,11 @@ def test_large_warm_strip_solves_without_blas_reductions(monkeypatch, caplog):
     with caplog.at_level(logging.DEBUG, logger="frontwave"):
         field = solve_temperature(psi, 0.5, grid)
     [(rows, error)] = solve_log_fields(caplog)
-    assert rows == 192 and rows * grid.ny > 10_000
+    assert rows == 1 + np.argmax(below) and rows * grid.ny > 10_000
     assert error <= 1e-12
     assert np.array_equal(field.values, reference.values)
+    error = np.max(np.abs(field.values[::-1] - deep[: grid.nx + 1]))
+    assert error <= 1e-12 * np.max(np.abs(deep))
 
 
 class CountingLU:
@@ -296,24 +336,167 @@ def perturbed_splu(monkeypatch, relative):
 def test_inexact_factorization_is_linear_solver_error_after_one_solve(
     monkeypatch, caplog
 ):
-    """A factorization off by 1e-6 is not corrected by further solves: the
-    first solution's backward error is checked, and it fails."""
+    """A trace factorization off by 1e-6 is not corrected by further solves:
+    the rows built from the first solution are checked, and they fail."""
     grid = StripGrid(nx=64, ny=8, depth=10.0)
     psi = cosine_front(8)
     factored = perturbed_splu(monkeypatch, 1e-6)
+    checked = []
+    backward_error = temperature._backward_error
+
+    def record(matrix, solution, rhs):
+        checked.append((matrix, solution, rhs))
+        return backward_error(matrix, solution, rhs)
+
+    monkeypatch.setattr(temperature, "_backward_error", record)
     with caplog.at_level(logging.DEBUG, logger="frontwave"):
         with pytest.raises(LinearSolverError) as info:
             solve_temperature(psi, 1.0, grid)
     assert info.value.exit_code == 2
     assert len(factored) == 1 and factored[0].solves == 1
-    [(_, error)] = solve_log_fields(caplog)
+    [(rows, error)] = solve_log_fields(caplog)
+    [(matrix, solution, rhs)] = checked
+    # The check covers every returned row (here the whole grid, whose tail
+    # is longer than the strip) against the sparse operator of those rows.
+    assert rows == grid.nx + 1 and solution.size == rows * grid.ny
+    strip, _ = assemble_system(psi, 1.0, StripGrid(rows, grid.ny, rows * grid.hx))
+    assert abs(matrix - strip).max() == 0.0
+    # The rows are off the deep-strip reference by about the perturbation.
+    offset = np.max(np.abs(solution[-grid.ny :] - deep_strip_rows(psi, 1.0, grid)[-1]))
+    assert 1e-9 < offset < 1e-4
     # The error carries the backward error of the one solution.
-    matrix, rhs = assemble_system(psi, 1.0, grid)
-    exact = temperature._backward_error(
-        matrix, factored[0].lu.solve(rhs), rhs
+    assert info.value.residual == backward_error(matrix, solution, rhs) > 1e-12
+    assert error == pytest.approx(info.value.residual, rel=1e-3)
+
+
+class FakeOpenBLAS:
+    """Thread-count functions of a stand-in OpenBLAS copy."""
+
+    def __init__(self, threads):
+        self.threads, self.requests = threads, []
+
+    def get(self):
+        return self.threads
+
+    def set(self, threads):
+        self.requests.append(threads)
+        self.threads = threads
+
+
+def fake_openblas(monkeypatch):
+    """Two stand-in copies, at 2 and 3 threads, in place of the real ones."""
+    libs = [FakeOpenBLAS(2), FakeOpenBLAS(3)]
+    monkeypatch.setattr(
+        temperature._BLAS_PIN, "controls", [(lib.get, lib.set) for lib in libs]
     )
-    assert info.value.residual == exact > 1e-12
-    assert error == pytest.approx(exact, rel=1e-3)
+    return libs
+
+
+def threads_in_dense_steps(monkeypatch, libs, barrier=None):
+    """Record the copies' thread counts as each solve enters its dense steps;
+    with a barrier, hold every solve there until all have arrived."""
+    seen = []
+    solvent = temperature._solvent
+
+    def record(*bands):
+        seen.append([lib.threads for lib in libs])
+        if barrier is not None:
+            barrier.wait(timeout=30)
+        return solvent(*bands)
+
+    monkeypatch.setattr(temperature, "_solvent", record)
+    return seen
+
+
+PIN_GRID = StripGrid(nx=64, ny=8, depth=10.0)
+
+
+def test_solve_pins_blas_to_one_thread_and_restores(monkeypatch):
+    libs = fake_openblas(monkeypatch)
+    seen = threads_in_dense_steps(monkeypatch, libs)
+    solve_temperature(cosine_front(8), 0.5, PIN_GRID)
+    assert seen == [[1, 1]]
+    assert [lib.requests for lib in libs] == [[1, 2], [1, 3]]
+    assert [lib.threads for lib in libs] == [2, 3]
+
+
+def test_overlapping_solves_restore_thread_counts_when_the_last_exits(monkeypatch):
+    libs = fake_openblas(monkeypatch)
+    seen = threads_in_dense_steps(monkeypatch, libs, threading.Barrier(2))
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        runs = [
+            pool.submit(solve_temperature, cosine_front(8), c, PIN_GRID) for c in (0.5, 0.7)
+        ]
+        for run in runs:
+            run.result()
+    assert seen == [[1, 1], [1, 1]]
+    # Pinned by the first solve in, restored by the last one out.
+    assert [lib.requests for lib in libs] == [[1, 2], [1, 3]]
+    assert [lib.threads for lib in libs] == [2, 3]
+    assert temperature._BLAS_PIN.active == 0
+
+
+def test_pin_under_thread_stress_pins_every_section_and_restores_once(monkeypatch):
+    """Short pinned sections on more threads than cores, with a short switch
+    interval: a lost update of the count would let a section run unpinned
+    or restore twice."""
+    libs = fake_openblas(monkeypatch)
+    unpinned = []
+    start = threading.Barrier(6)
+
+    def sections():
+        start.wait(timeout=30)
+        for _ in range(2000):
+            with temperature._BLAS_PIN:
+                if [lib.threads for lib in libs] != [1, 1]:
+                    unpinned.append([lib.threads for lib in libs])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            for run in [pool.submit(sections) for _ in range(6)]:
+                run.result(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert unpinned == []
+    assert temperature._BLAS_PIN.active == 0
+    # Each pin is followed by exactly one restore to the saved count.
+    for lib, count in zip(libs, (2, 3)):
+        assert lib.threads == count
+        assert lib.requests == [1, count] * (len(lib.requests) // 2)
+
+
+def test_missing_openblas_symbols_solve_unpinned_with_one_debug_line(
+    monkeypatch, caplog
+):
+    monkeypatch.setattr(temperature._BLAS_PIN, "controls", None)
+    monkeypatch.setattr(
+        temperature, "_OPENBLAS",
+        (("numpy", "no_such_%s_threads"), ("scipy", "no_such_%s_threads")),
+    )
+    with caplog.at_level(logging.DEBUG, logger="frontwave"):
+        first = solve_temperature(cosine_front(8), 0.5, PIN_GRID)
+        second = solve_temperature(cosine_front(8), 0.5, PIN_GRID)
+    lines = [r.getMessage() for r in caplog.records if "BLAS" in r.getMessage()]
+    assert lines == ["BLAS thread pin: numpy unpinned, scipy unpinned"]
+    assert temperature._BLAS_PIN.controls == []
+    assert np.array_equal(first.values, second.values)
+
+
+def test_bundled_openblas_thread_counts_are_restored(monkeypatch, caplog):
+    """The real lookup, whatever it finds, logs once and leaves every
+    thread count it pinned as it was."""
+    monkeypatch.setattr(temperature._BLAS_PIN, "controls", None)
+    with caplog.at_level(logging.DEBUG, logger="frontwave"):
+        solve_temperature(cosine_front(8), 0.5, PIN_GRID)
+        controls = temperature._BLAS_PIN.controls
+        before = [get() for get, _ in controls]
+        solve_temperature(cosine_front(8), 0.5, PIN_GRID)
+    assert [get() for get, _ in controls] == before
+    lines = [r.getMessage() for r in caplog.records if "BLAS" in r.getMessage()]
+    assert len(lines) == 1
+    assert lines[0].count("pinned") == 2 and len(controls) == lines[0].count(" pinned")
 
 
 def test_flat_solution_is_transverse_invariant():
