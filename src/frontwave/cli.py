@@ -143,11 +143,10 @@ def _apply_override(doc: dict, name: str, value):
     node[parts[-1]] = value
 
 
-def _sweep_case(name, value, doc, case_dir):
+def _sweep_case(name, value, config, doc, case_dir):
     """Solve one sweep row in its own directory; returns its sweep.csv row."""
-    case_config = config_from_dict(doc)
     try:
-        wave = solve_traveling_wave(case_config)
+        wave = solve_traveling_wave(config)
     except FrontwaveError as exc:
         logger.error("%s=%s failed: %s", name, value, exc)
         write_failure_manifest(case_dir, doc, exc)
@@ -177,8 +176,8 @@ def cmd_sweep(args) -> int:
         _apply_override(doc, name, value)
         # Validate every override up front so a bad axis is a clean config
         # error before any row starts computing.
-        config_from_dict(doc)
-        cases.append((value, doc, outdir / f"case_{index:03d}"))
+        config = config_from_dict(doc)
+        cases.append((value, config, doc, outdir / f"case_{index:03d}"))
 
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         rows = list(pool.map(lambda case: _sweep_case(name, *case), cases))

@@ -4,6 +4,9 @@ Temperature enters the model through a nondecreasing rate law ``K(u)`` that
 vanishes (or is cut off at a positive floor) in the cold limit; the
 heterogeneity of the medium enters through a periodic burning-rate profile
 ``R(y)`` on the unit cell.
+
+A rate law supplies ``evaluate``, ``supremum`` and ``floored_integral``, the
+integral of ``max(K, floor)`` over the unit temperature interval in closed form.
 """
 from __future__ import annotations
 
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import special
 
 __all__ = [
     "KineticsModel",
@@ -25,8 +28,6 @@ __all__ = [
     "PiecewiseConstantRate",
     "SmoothRate",
 ]
-
-_QUAD_OPTS = {"epsabs": 1e-14, "epsrel": 1e-10, "limit": 200}
 
 
 def _as_temperature(u):
@@ -48,7 +49,8 @@ class KineticsModel(ABC):
 
     Implementations guarantee ``0 <= evaluate(u) <= supremum`` and that
     ``evaluate`` is nondecreasing in ``u``.  Negative or non-finite
-    temperatures raise ``ValueError``.
+    temperatures raise ``ValueError``.  ``floored_integral`` is exact (a
+    closed form, not a quadrature); the solver sizes its grid from it.
     """
 
     @abstractmethod
@@ -60,17 +62,13 @@ class KineticsModel(ABC):
     def supremum(self) -> float:
         """Least upper bound of the rate over all temperatures."""
 
-    def _kinks(self) -> tuple:
-        """Temperatures where the law is not smooth (quadrature hints)."""
-        return ()
+    @abstractmethod
+    def floored_integral(self, floor: float) -> float:
+        """Exact integral of ``max(evaluate(u), floor)`` over [0, 1], floor >= 0."""
 
     def unit_integral(self) -> float:
         """Integral of the rate law over the unit temperature interval."""
-        hints = [s for s in self._kinks() if 0.0 < s < 1.0]
-        value, _ = integrate.quad(
-            self.evaluate, 0.0, 1.0, points=hints or None, **_QUAD_OPTS
-        )
-        return value
+        return self.floored_integral(0.0)
 
 
 @dataclass(frozen=True)
@@ -103,6 +101,18 @@ class ArrheniusKinetics(KineticsModel):
     def supremum(self) -> float:
         return self.prefactor
 
+    def floored_integral(self, floor: float) -> float:
+        if floor >= self.evaluate(1.0):
+            return floor
+        # The law exceeds the floor above the crossing ``a``, and there
+        # d/du [u E2(B/u)] = exp(-B/u) integrates it exactly.
+        tail = special.expn(2, self.activation)
+        if floor <= 0.0:
+            return float(self.prefactor * tail)
+        a = self.activation / np.log(self.prefactor / floor)
+        tail -= a * special.expn(2, self.activation / a)
+        return float(floor * a + self.prefactor * tail)
+
 
 @dataclass(frozen=True)
 class ConstantKinetics(KineticsModel):
@@ -122,8 +132,8 @@ class ConstantKinetics(KineticsModel):
     def supremum(self) -> float:
         return self.value
 
-    def unit_integral(self) -> float:
-        return self.value
+    def floored_integral(self, floor: float) -> float:
+        return max(self.value, floor)
 
 
 @dataclass(frozen=True)
@@ -167,14 +177,14 @@ class TabulatedKinetics(KineticsModel):
     def supremum(self) -> float:
         return self.points[-1][1]
 
-    def _kinks(self) -> tuple:
-        return tuple(self._table[0])
-
-    def unit_integral(self) -> float:
+    def floored_integral(self, floor: float) -> float:
+        # max(K, floor) is linear between the table points and the crossing,
+        # so the trapezoid rule on those knots is exact.
         us, ks = self._table
-        inner = us[(us > 0.0) & (us < 1.0)]
-        knots = np.concatenate(([0.0], inner, [1.0]))
-        return float(np.trapezoid(np.interp(knots, us, ks), knots))
+        knots = np.append(us, [0.0, 1.0, np.interp(floor, ks, us)])
+        knots = np.clip(np.sort(knots), 0.0, 1.0)
+        values = np.maximum(np.interp(knots, us, ks), floor)
+        return float(np.trapezoid(values, knots))
 
 
 @dataclass(frozen=True)
@@ -199,21 +209,8 @@ class TruncatedKinetics(KineticsModel):
     def supremum(self) -> float:
         return max(self.base.supremum, self.floor)
 
-    def unit_integral(self) -> float:
-        # Split the integral at the point where the base law crosses the
-        # floor; monotonicity makes the split exact.
-        if self.base.evaluate(1.0) <= self.floor:
-            return self.floor
-        if self.base.evaluate(0.0) >= self.floor:
-            return self.base.unit_integral()
-        cross = optimize.brentq(
-            lambda s: self.base.evaluate(s) - self.floor, 0.0, 1.0, xtol=1e-15
-        )
-        hints = [s for s in self.base._kinks() if cross < s < 1.0]
-        tail, _ = integrate.quad(
-            self.base.evaluate, cross, 1.0, points=hints or None, **_QUAD_OPTS
-        )
-        return self.floor * cross + tail
+    def floored_integral(self, floor: float) -> float:
+        return self.base.floored_integral(max(self.floor, floor))
 
 
 def truncate_kinetics(model: KineticsModel, n) -> TruncatedKinetics:

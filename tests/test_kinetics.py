@@ -1,9 +1,15 @@
 """Rate laws and combustion-rate profiles: values, bounds, and integrals."""
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import integrate, optimize
 
+import frontwave
 import oracles
 from frontwave import (
     ArrheniusKinetics,
@@ -120,7 +126,7 @@ def test_unit_integral_arrhenius_matches_quadrature_oracle():
             frozen, abs=1e-13
         )
         model = ArrheniusKinetics(prefactor=1.0, activation=activation)
-        assert model.unit_integral() == pytest.approx(frozen, abs=1e-9)
+        assert model.unit_integral() == pytest.approx(frozen, abs=1e-14)
 
 
 def test_unit_integral_saturated_truncation():
@@ -133,8 +139,80 @@ def test_unit_integral_truncated_matches_crossing_oracle():
     for n, frozen in oracles.TRUNCATED_UNIT_INTEGRAL_FROZEN.items():
         assert oracles.truncated_unit_integral(n) == pytest.approx(frozen, abs=1e-12)
         assert truncate_kinetics(base, n).unit_integral() == pytest.approx(
-            frozen, abs=1e-9
+            frozen, abs=1e-14
         )
+
+
+def _quadrature_floored_integral(model, floor):
+    """Adaptive quadrature of max(K, floor), split where it is not smooth."""
+    cuts = [0.0, 1.0]
+    if isinstance(model, TabulatedKinetics):
+        cuts += [u for u, _ in model.points]
+    if model.evaluate(0.0) < floor < model.evaluate(1.0):
+        cuts.append(optimize.brentq(
+            lambda u: model.evaluate(u) - floor, 0.0, 1.0, xtol=1e-15
+        ))
+    cuts = np.unique(np.clip(cuts, 0.0, 1.0))
+    return sum(
+        integrate.quad(
+            lambda u: max(model.evaluate(u), floor), a, b, epsabs=1e-15, epsrel=1e-13
+        )[0]
+        for a, b in zip(cuts[:-1], cuts[1:])
+    )
+
+
+def _random_step_table(rng):
+    """Tabulated law on integer levels, so flat segments are common."""
+    count = int(rng.integers(2, 7))
+    knots = np.sort(rng.choice(np.arange(1, 40), size=count, replace=False)) / 20.0
+    if rng.uniform() < 0.3:
+        knots[0] = 0.0
+    values = np.sort(rng.integers(0, 4, size=count)).astype(float)
+    values[-1] = max(values[-1], 1.0)
+    return TabulatedKinetics(points=tuple(zip(knots, values)))
+
+
+def test_floored_integral_matches_split_quadrature_random_laws():
+    rng = np.random.default_rng(20261018)
+    laws = [oracles.random_kinetics(rng) for _ in range(60)]
+    laws += [_random_step_table(rng) for _ in range(40)]
+    for model in laws:
+        low, high = model.evaluate(0.0), model.evaluate(1.0)
+        floors = [0.0, high, model.supremum, 1.5 * model.supremum]
+        floors += list(rng.uniform(low, high, size=3))
+        if isinstance(model, TabulatedKinetics):
+            floors += [k for _, k in model.points]
+        for floor in floors:
+            expected = _quadrature_floored_integral(model, floor)
+            assert model.floored_integral(floor) == pytest.approx(
+                expected, rel=1e-10, abs=1e-13
+            ), (model, floor)
+        n = int(rng.integers(1, 64))
+        assert truncate_kinetics(model, n).unit_integral() == pytest.approx(
+            _quadrature_floored_integral(model, 1.0 / n), rel=1e-10, abs=1e-13
+        )
+
+
+def test_floored_integral_of_table_with_flat_segment_at_the_floor():
+    model = TabulatedKinetics(points=((0.0, 0.0), (0.2, 1.0), (0.6, 1.0), (0.8, 3.0)))
+    # max(K, 1) is 1 up to u = 0.6, then rises linearly to 3 at u = 0.8.
+    assert model.floored_integral(1.0) == pytest.approx(0.6 + 0.4 + 0.6, abs=1e-15)
+    assert model.floored_integral(3.0) == 3.0
+    assert model.floored_integral(0.0) == pytest.approx(0.1 + 0.4 + 0.4 + 0.6, abs=1e-15)
+
+
+def test_import_loads_no_quadrature_or_root_finder():
+    path = [str(Path(frontwave.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    code = (
+        "import frontwave, sys; "
+        "print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 def test_piecewise_rate_lookup_and_periodicity():
