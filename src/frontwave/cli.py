@@ -35,7 +35,6 @@ from .io import (
     write_rows_csv,
     write_solution,
 )
-from .kinetics import truncate_kinetics
 
 logger = logging.getLogger("frontwave")
 
@@ -178,6 +177,9 @@ def cmd_sweep(args) -> int:
         # error before any row starts computing.
         config = config_from_dict(doc)
         cases.append((value, config, doc, outdir / f"case_{index:03d}"))
+    # Likewise a case path that cannot be made fails before any row runs.
+    for case in cases:
+        case[-1].mkdir(parents=True, exist_ok=True)
 
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         rows = list(pool.map(lambda case: _sweep_case(name, *case), cases))
@@ -185,7 +187,6 @@ def cmd_sweep(args) -> int:
     for row in rows:
         status = "solve failed" if row[2] is None else f"speed {row[2]:.12g}"
         print(f"{row[0]}={row[1]}: {status} [{row[5]}]")
-    outdir.mkdir(parents=True, exist_ok=True)
     write_rows_csv(outdir / "sweep.csv", SWEEP_COLUMNS, rows)
     return 0 if all(row[5] == "pass" for row in rows) else 3
 
@@ -226,8 +227,7 @@ def cmd_convergence(args) -> int:
     if r_lo == r_hi:
         # Uniform medium: the flat-front speed is available in closed form
         # from the rate law at the hot boundary value.
-        final = truncate_kinetics(config.kinetics, waves[-1].final_truncation)
-        reference = r_hi * final.evaluate(1.0)
+        reference = r_hi * waves[-1].final_kinetics.evaluate(1.0)
         errors = [abs(speed - reference) for speed in speeds]
     else:
         reference = None

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Optional
+from typing import ClassVar, NamedTuple, Optional
 
 import numpy as np
 
@@ -148,18 +148,17 @@ class ResidualNorms:
 class TravelingWave:
     """A converged traveling wave with its audit trail."""
 
+    # A solve that does not converge raises; no unconverged wave is built.
+    converged: ClassVar[bool] = True
+
     speed: float
     psi: FrontProfile
     theta: np.ndarray
     forcing: Forcing
     field: TemperatureField
-    grid: StripGrid
     kinetics: KineticsModel
     rate: CombustionRate
-    final_truncation: int
-    floor_inactive: bool
     stop_reason: str
-    converged: bool
     history: tuple
     residuals: ResidualNorms
     report: Optional["_diagnostics.DiagnosticsReport"] = None
@@ -168,6 +167,23 @@ class TravelingWave:
         arr = np.asarray(self.theta, dtype=float).copy()
         arr.flags.writeable = False
         object.__setattr__(self, "theta", arr)
+
+    @property
+    def grid(self) -> StripGrid:
+        return self.field.grid
+
+    @property
+    def final_truncation(self) -> int:
+        return self.history[-1].truncation
+
+    @property
+    def floor_inactive(self) -> bool:
+        return self.history[-1].floor_inactive
+
+    @property
+    def final_kinetics(self) -> KineticsModel:
+        """The floored law ``max(K, 1/n)`` of the stage the wave quotes."""
+        return truncate_kinetics(self.kinetics, self.final_truncation)
 
 
 def _stage_speed_cap(config: SolverConfig) -> float:
@@ -278,8 +294,8 @@ def solve_at_truncation(
     """Iterate the outer loop to a fixed point for the floor-``1/n`` law.
 
     Returns:
-        Tuple ``(state, sweeps, updates)`` where ``updates`` lists the
-        per-sweep convergence measure ``max|dpsi| + |dc|``.
+        Tuple ``(state, updates)`` where ``updates`` lists the per-sweep
+        convergence measure ``max|dpsi| + |dc|``, one entry per sweep.
 
     Raises:
         NonConvergenceError: on a non-finite update or an exhausted budget,
@@ -324,7 +340,7 @@ def solve_at_truncation(
         if not np.isfinite(delta):
             break
         if delta < config.outer_tol:
-            return state, sweep, updates
+            return state, updates
     failure = "exhausted its sweep budget" if np.isfinite(delta) else "diverged"
     raise NonConvergenceError(
         f"stage n={n}: outer iteration {failure}",
@@ -358,9 +374,7 @@ def solve_traveling_wave(config: SolverConfig) -> TravelingWave:
     history = []
 
     for _ in range(_MAX_STAGES):
-        state, sweeps, updates = solve_at_truncation(
-            config, n, grid=grid, start=state
-        )
+        state, updates = solve_at_truncation(config, n, grid=grid, start=state)
         floor_inactive = _floor_inactive(base, state.theta, n)
         gap = (
             abs(state.speed - prev_speed) if prev_speed is not None else np.inf
@@ -369,7 +383,7 @@ def solve_traveling_wave(config: SolverConfig) -> TravelingWave:
             StageRecord(
                 truncation=n,
                 speed=state.speed,
-                sweeps=sweeps,
+                sweeps=len(updates),
                 last_update=updates[-1],
                 floor_inactive=floor_inactive,
                 speed_gap=gap,
@@ -379,7 +393,7 @@ def solve_traveling_wave(config: SolverConfig) -> TravelingWave:
             "stage n=%d: speed %.12g after %d sweeps (floor inactive: %s)",
             n,
             state.speed,
-            sweeps,
+            len(updates),
             floor_inactive,
         )
 
@@ -387,7 +401,6 @@ def solve_traveling_wave(config: SolverConfig) -> TravelingWave:
             # The floor changes nothing anywhere, so this stage already
             # solved the untruncated problem.
             stop_reason = "truncation is a no-op for this rate law"
-            floor_inactive = True
             break
         if gap < config.outer_tol:
             stop_reason = (
@@ -420,13 +433,9 @@ def solve_traveling_wave(config: SolverConfig) -> TravelingWave:
         theta=state.theta,
         forcing=forcing,
         field=state.field,
-        grid=grid,
         kinetics=base,
         rate=rate,
-        final_truncation=n,
-        floor_inactive=floor_inactive,
         stop_reason=stop_reason,
-        converged=True,
         history=tuple(history),
         residuals=residuals,
     )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .front import front_derivatives
-from .kinetics import PiecewiseConstantRate, truncate_kinetics
+from .kinetics import PiecewiseConstantRate
 from .temperature import gradient_energy
 
 __all__ = [
@@ -94,10 +94,6 @@ class DiagnosticsReport:
         return "\n".join(lines)
 
 
-def _final_kinetics(wave):
-    return truncate_kinetics(wave.kinetics, wave.final_truncation)
-
-
 def _clipped_theta(wave) -> np.ndarray:
     return np.maximum(np.asarray(wave.theta, dtype=float), 0.0)
 
@@ -105,7 +101,7 @@ def _clipped_theta(wave) -> np.ndarray:
 def check_speed_lower(wave) -> CheckResult:
     """Speed is at least the slowest burning rate times the reacted mass."""
     r_lo, _ = wave.rate.bounds
-    bound = r_lo * _final_kinetics(wave).unit_integral()
+    bound = r_lo * wave.final_kinetics.unit_integral()
     return CheckResult(
         name="speed_lower",
         statement="speed >= min(R) * integral of the floored rate law",
@@ -119,7 +115,7 @@ def check_speed_lower(wave) -> CheckResult:
 def check_speed_upper(wave) -> CheckResult:
     """Speed cannot exceed the fastest burning rate times the rate cap."""
     _, r_hi = wave.rate.bounds
-    bound = r_hi * _final_kinetics(wave).supremum
+    bound = r_hi * wave.final_kinetics.supremum
     return CheckResult(
         name="speed_upper",
         statement="speed <= max(R) * supremum of the floored rate law",
@@ -158,7 +154,7 @@ def check_trace_positivity(wave) -> CheckResult:
 
 def check_jensen_bound(wave) -> CheckResult:
     """Jensen-type bound: mean reaction on the front beats the unit integral."""
-    kin = _final_kinetics(wave)
+    kin = wave.final_kinetics
     mean_rate = float(np.mean(kin.evaluate(_clipped_theta(wave))))
     bound = kin.unit_integral()
     return CheckResult(
@@ -227,7 +223,7 @@ def check_curvature_cap(wave) -> CheckResult:
     slope, second = front_derivatives(wave.psi)
     ny = slope.size
     _, r_hi = wave.rate.bounds
-    cap = 2.0 * r_hi * _final_kinetics(wave).supremum
+    cap = 2.0 * r_hi * wave.final_kinetics.supremum
     allowed = cap * (1.0 + slope * slope) ** 1.5
     excess = np.abs(second) - allowed
     mask = np.ones(ny, dtype=bool)

@@ -22,7 +22,8 @@ class ConfigurationError(FrontwaveError):
 
 
 class LinearSolverError(FrontwaveError):
-    """The sparse linear solve failed or left too large a residual."""
+    """A temperature solve failed: its trace factorization failed, or its
+    rows failed the 1e-12 backward-error check."""
 
     verdict = "linear-solver-failure"
 

@@ -19,7 +19,6 @@ from .config import config_from_dict
 from .coupler import ResidualNorms, StageRecord, TravelingWave
 from .errors import ConfigurationError
 from .front import Forcing, FrontProfile, front_derivatives, front_residual
-from .kinetics import truncate_kinetics
 from .temperature import StripGrid, TemperatureField
 
 __all__ = [
@@ -95,8 +94,7 @@ def write_solution(outdir, wave: TravelingWave, config_echo: dict):
     rows = zip(y, psi, slope, wave.forcing.values, residual)
     write_rows_csv(outdir / "front.csv", FRONT_COLUMNS, rows)
 
-    kin = truncate_kinetics(wave.kinetics, wave.final_truncation)
-    reaction = kin.evaluate(np.maximum(wave.theta, 0.0))
+    reaction = wave.final_kinetics.evaluate(np.maximum(wave.theta, 0.0))
     write_rows_csv(
         outdir / "trace.csv", TRACE_COLUMNS, zip(y, wave.theta, reaction)
     )
@@ -210,18 +208,18 @@ def load_wave(outdir):
             for entry in manifest["stages"]
         )
         residuals = ResidualNorms(**manifest["residuals"])
-        final_truncation = int(manifest["final_truncation"])
-        floor_inactive = bool(manifest["floor_inactive"])
         stop_reason = manifest["stop_reason"]
     except (KeyError, TypeError) as exc:
         raise ConfigurationError(
             f"{manifest_path}: missing or malformed entry ({exc})"
         ) from None
+    if not history:
+        raise ConfigurationError(f"{manifest_path}: no stage is recorded")
 
     front_cols = read_columns(outdir / "front.csv", FRONT_COLUMNS)
     trace_cols = read_columns(outdir / "trace.csv", TRACE_COLUMNS)
     field_grid, values = read_field(outdir / "field.dat")
-    if (field_grid.nx, field_grid.ny) != (grid.nx, grid.ny):
+    if field_grid != grid:
         raise ConfigurationError("field.dat does not match the manifest grid")
 
     wave = TravelingWave(
@@ -230,13 +228,9 @@ def load_wave(outdir):
         theta=trace_cols["theta"],
         forcing=Forcing(front_cols["forcing"]),
         field=TemperatureField(grid=grid, values=values, speed=speed),
-        grid=grid,
         kinetics=config.kinetics,
         rate=config.rate,
-        final_truncation=final_truncation,
-        floor_inactive=floor_inactive,
         stop_reason=stop_reason,
-        converged=True,
         history=history,
         residuals=residuals,
     )

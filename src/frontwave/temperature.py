@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import ctypes
 import logging
-import math
 import sys
 import threading
 from dataclasses import dataclass
@@ -274,11 +273,6 @@ def assemble_system(psi: FrontProfile, c: float, grid: StripGrid):
     return matrix, rhs
 
 
-def _norm(vector: np.ndarray) -> float:
-    """Euclidean norm as the root of a pairwise sum of squares."""
-    return math.sqrt(float(np.sum(np.square(vector))))
-
-
 def _backward_error(matrix, solution, rhs) -> float:
     """Normwise backward error ``|r| / |(|A||x| + |b|)|`` of ``x`` as a
     solution of ``A x = b``, with residual ``r = b - A x``.
@@ -287,14 +281,10 @@ def _backward_error(matrix, solution, rhs) -> float:
     alone: the rhs carries only the boundary forcing while the rows scale
     like ``1/h^2``, so a plain ``|r|/|b|`` quotient has a double-precision
     floor above 1e-12 on fine grids even for a perfectly solved system.
-
-    The norms are pairwise ``np.sum`` reductions, not ``np.linalg.norm``,
-    whose OpenBLAS ``ddot`` runs threaded above 10,000 entries and busy-waits
-    on the core that a concurrent ``sweep --jobs 2`` row needs.
     """
-    error = _norm(rhs - matrix @ solution)
-    scale = _norm(abs(matrix) @ np.abs(solution) + np.abs(rhs))
-    return error / scale if scale else error
+    error = np.linalg.norm(rhs - matrix @ solution)
+    scale = np.linalg.norm(abs(matrix) @ np.abs(solution) + np.abs(rhs))
+    return float(error / scale if scale else error)
 
 
 def _solvent(W: np.ndarray, D: np.ndarray, U: np.ndarray) -> np.ndarray:
@@ -328,7 +318,7 @@ def solve_temperature(psi: FrontProfile, c: float, grid: StripGrid) -> Temperatu
     Check: the normwise backward error of the returned rows against
     ``assemble_system`` over the same rows, with the far leg ``U G v_first``
     moved into the right-hand side, must be at most ``1e-12``.  No
-    correction step follows.
+    correction step follows.  The check runs inside the BLAS pin too.
 
     Raises:
         ValueError: on a nonpositive or nonfinite speed.
@@ -351,13 +341,12 @@ def solve_temperature(psi: FrontProfile, c: float, grid: StripGrid) -> Temperatu
         while len(tail) <= grid.nx and (len(tail) < 16 or abs(tail[-1]).max() >= cut):
             tail.append(G @ tail[-1])
         far_leg = U @ (G @ tail[-1])
-
-    rows = len(tail)
-    values = np.zeros((grid.nx + 1, grid.ny))
-    values[grid.nx + 1 - rows :] = tail[::-1]
-    matrix, rhs = assemble_system(psi, c, StripGrid(rows, grid.ny, rows * grid.hx))
-    rhs[: grid.ny] -= far_leg
-    relative = _backward_error(matrix, values[-rows:].ravel(), rhs)
+        rows = len(tail)
+        values = np.zeros((grid.nx + 1, grid.ny))
+        values[grid.nx + 1 - rows :] = tail[::-1]
+        matrix, rhs = assemble_system(psi, c, StripGrid(rows, grid.ny, rows * grid.hx))
+        rhs[: grid.ny] -= far_leg
+        relative = _backward_error(matrix, values[-rows:].ravel(), rhs)
     logger.debug(
         "temperature solve: %d of %d rows at c=%.6g, backward error %.3e",
         rows, grid.nx + 1, c, relative,

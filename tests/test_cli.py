@@ -125,6 +125,19 @@ def test_diagnose_manifest_missing_key_is_config_error(solved_run, tmp_path, cap
     assert "missing or malformed entry ('stop_reason')" in caplog.text
 
 
+def test_diagnose_rejects_field_depth_that_differs_from_manifest(
+    solved_run, tmp_path, caplog
+):
+    _, outdir = solved_run
+    copy = tmp_path / "deepened"
+    shutil.copytree(outdir, copy)
+    header, body = (copy / "field.dat").read_text().split("\n", 1)
+    assert header == "512 8 40"
+    (copy / "field.dat").write_text("512 8 400\n" + body)
+    assert main(["diagnose", "--in", str(copy)]) == 1
+    assert "field.dat does not match the manifest grid" in caplog.text
+
+
 def test_diagnose_missing_directory(tmp_path):
     assert main(["diagnose", "--in", str(tmp_path / "nowhere")]) == 1
 
@@ -412,6 +425,20 @@ def test_sweep_rejects_bad_axes(tmp_path):
                  "--out", out]) == 1
     assert main(["sweep", "--config", config, "--axis", "grid.nz=4",
                  "--out", out]) == 1
+
+
+def test_sweep_blocked_case_path_fails_before_any_row(tmp_path, monkeypatch, caplog):
+    solves = []
+    monkeypatch.setattr(cli, "solve_traveling_wave", solves.append)
+    outdir = tmp_path / "sweep"
+    outdir.mkdir()
+    (outdir / "case_001").write_text("in the way\n")
+    code = main(["sweep", "--config", write_config(tmp_path, FLAT_DOC),
+                 "--axis", "kinetics.activation=1,2", "--out", str(outdir)])
+    assert code == 1
+    assert solves == []
+    assert "case_001" in caplog.text
+    assert not (outdir / "sweep.csv").exists()
 
 
 def test_sweep_mixed_verdicts_exit_3(tmp_path, capsys, monkeypatch):

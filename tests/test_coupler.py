@@ -1,7 +1,7 @@
 """Outer fixed-point loop, truncation continuation, and the full solve."""
 import logging
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -16,6 +16,9 @@ from frontwave import (
     PiecewiseConstantRate,
     SmoothRate,
     SolverConfig,
+    StripGrid,
+    TemperatureField,
+    TravelingWave,
     build_forcing,
     compute_speed,
     front_residual,
@@ -143,7 +146,7 @@ def test_picard_step_skips_an_already_solved_forcing(monkeypatch):
     # At n = 1 the floor binds everywhere, so the forcing is the rate itself
     # and the stage ends on a sweep that repeats a solved forcing.
     kinetics = truncate_kinetics(config.kinetics, 1)
-    state, _, _ = solve_at_truncation(config, 1, grid=grid)
+    state, _ = solve_at_truncation(config, 1, grid=grid)
     assert state.forcing is not None
     assert np.array_equal(
         state.forcing.values, build_forcing(kinetics, config.rate, state.theta).values
@@ -185,15 +188,15 @@ def test_skipped_sweeps_still_count_and_are_logged(monkeypatch, caplog):
 
 def test_undamped_iteration_converges_quickly_for_uniform_rate():
     config = flat_like()
-    state, sweeps, updates = solve_at_truncation(config, 64)
-    assert sweeps <= 50
+    state, updates = solve_at_truncation(config, 64)
+    assert len(updates) <= 50
     assert state.speed == pytest.approx(math.exp(-1.0), abs=5e-4)
-    assert len(updates) == sweeps
+    assert updates[-1] < config.outer_tol <= min(updates[:-1], default=np.inf)
 
 
 def test_floor_dominated_stage_is_pure_geometry():
     config = flat_like(rate=SmoothRate(mean=0.8))
-    state, _, _ = solve_at_truncation(config, 1)
+    state, _ = solve_at_truncation(config, 1)
     # floor 1 dominates the sub-unit law, so the forcing is the rate itself
     assert state.speed == pytest.approx(0.8, abs=1e-10)
     assert np.max(np.abs(state.psi.values)) <= 1e-10
@@ -201,17 +204,17 @@ def test_floor_dominated_stage_is_pure_geometry():
 
 def test_deep_truncation_recovers_base_law():
     config = flat_like()
-    state, _, _ = solve_at_truncation(config, 1024)
+    state, _ = solve_at_truncation(config, 1024)
     assert state.speed == pytest.approx(math.exp(-1.0), abs=5e-4)
 
 
 def test_warm_start_reaches_the_same_fixed_point():
     config = flat_like()
     grid = resolve_grid(config)
-    cold, cold_sweeps, _ = solve_at_truncation(config, 64, grid=grid)
-    warm, warm_sweeps, _ = solve_at_truncation(config, 128, grid=grid, start=cold)
+    cold, cold_updates = solve_at_truncation(config, 64, grid=grid)
+    warm, warm_updates = solve_at_truncation(config, 128, grid=grid, start=cold)
     assert warm.speed == pytest.approx(cold.speed, abs=1e-6)
-    assert warm_sweeps <= cold_sweeps
+    assert len(warm_updates) <= len(cold_updates)
 
 
 def test_solve_at_truncation_reports_nonconvergence_history(monkeypatch):
@@ -344,11 +347,44 @@ def test_wave_quotes_the_last_stage_state(striated_wave, striated_config, monkey
     assert again.speed == wave.speed
     assert np.array_equal(again.field.values, wave.field.values)
     # Nothing is solved after the last stage, whose field is the quoted one.
-    (last_event, (state, _, _)) = events[-1]
+    (last_event, (state, _)) = events[-1]
     assert last_event == "solve_at_truncation"
     fields = [result for name, result in events if name == "solve_temperature"]
     assert again.field is state.field is fields[-1]
     assert again.psi is state.psi
+    # A stage's record counts one sweep per update the stage returned.
+    stages = [result for name, result in events if name == "solve_at_truncation"]
+    assert [len(updates) for _, updates in stages] == [
+        rec.sweeps for rec in again.history
+    ]
+
+
+def test_wave_derives_its_stage_facts_and_grid(flat_wave):
+    names = {f.name for f in fields(TravelingWave)}
+    assert not names & {"grid", "final_truncation", "floor_inactive", "converged"}
+    last = flat_wave.history[-1]
+    assert flat_wave.final_truncation == last.truncation
+    assert flat_wave.floor_inactive == last.floor_inactive
+    assert TravelingWave.converged and flat_wave.converged
+    floored = truncate_kinetics(flat_wave.kinetics, last.truncation)
+    theta = np.linspace(0.0, 1.0, 11)
+    assert np.array_equal(
+        flat_wave.final_kinetics.evaluate(theta), floored.evaluate(theta)
+    )
+
+    # The grid is the field's: replacing the field moves it.
+    grid = StripGrid(nx=32, ny=flat_wave.grid.ny, depth=7.0)
+    field = TemperatureField(
+        grid=grid, values=np.zeros((33, grid.ny)), speed=flat_wave.speed
+    )
+    moved = replace(flat_wave, field=field)
+    assert moved.grid is grid and flat_wave.grid is flat_wave.field.grid
+    with pytest.raises(TypeError):
+        replace(flat_wave, grid=grid)
+    with pytest.raises(TypeError):
+        TravelingWave(
+            **{name: getattr(flat_wave, name) for name in names}, grid=grid
+        )
 
 
 def test_striated_speed_within_analytic_bracket(striated_wave):

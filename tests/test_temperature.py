@@ -279,9 +279,9 @@ def solve_log_fields(caplog):
     return [(int(m[1]), float(m[2])) for m in matches if m]
 
 
-def test_large_warm_strip_solves_without_blas_reductions(monkeypatch, caplog):
-    """The backward-error norms must not reach OpenBLAS, whose ``ddot``
-    wakes a spinning worker thread above 10,000 entries."""
+def test_large_warm_strip_checks_its_rows_inside_the_blas_pin(monkeypatch, caplog):
+    """The backward-error norms run while every OpenBLAS copy is held at one
+    thread: a threaded ``ddot`` wakes a spinning worker above 10,000 entries."""
     grid = StripGrid(nx=256, ny=64, depth=80.0)
     psi = cosine_front(64, 0.05)
     reference = solve_temperature(psi, 0.5, grid)
@@ -289,17 +289,21 @@ def test_large_warm_strip_solves_without_blas_reductions(monkeypatch, caplog):
     deep = deep_strip_rows(psi, 0.5, grid)[::-1]
     below = np.max(np.abs(deep), axis=1) < 1e-14 * np.max(np.abs(deep[0]))
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("BLAS-backed reduction called")
+    libs = fake_openblas(monkeypatch)
+    seen = []
+    backward_error = temperature._backward_error
 
-    for module, name in (
-        (np.linalg, "norm"), (np, "dot"), (np, "vdot"), (np, "inner"),
-    ):
-        monkeypatch.setattr(module, name, forbidden)
+    def record(matrix, solution, rhs):
+        seen.append(([lib.threads for lib in libs], solution.size))
+        return backward_error(matrix, solution, rhs)
+
+    monkeypatch.setattr(temperature, "_backward_error", record)
     with caplog.at_level(logging.DEBUG, logger="frontwave"):
         field = solve_temperature(psi, 0.5, grid)
     [(rows, error)] = solve_log_fields(caplog)
     assert rows == 1 + np.argmax(below) and rows * grid.ny > 10_000
+    assert seen == [([1, 1], rows * grid.ny)]
+    assert [lib.threads for lib in libs] == [2, 3]
     assert error <= 1e-12
     assert np.array_equal(field.values, reference.values)
     error = np.max(np.abs(field.values[::-1] - deep[: grid.nx + 1]))
