@@ -23,7 +23,7 @@ class ConfigurationError(FrontwaveError):
 
 class LinearSolverError(FrontwaveError):
     """A temperature solve failed: its trace factorization failed, or its
-    rows failed the 1e-12 backward-error check."""
+    solvent or its 16 front rows failed their 1e-12 check."""
 
     verdict = "linear-solver-failure"
 

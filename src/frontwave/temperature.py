@@ -22,7 +22,8 @@ in Y (three-point in the interior, five-point on the flux row).  Interior
 lines all hold the same bands, so the solve needs one ``ny x ny`` solvent
 (``solve_temperature``); ``depth`` sets only ``hx`` and the rows shown.
 ``assemble_system`` builds, from ``kron(X-offset, Y-band)`` terms, the
-operator of a finite strip with ``v = 0`` at its cold end; it checks solves.
+operator of a finite strip with ``v = 0`` at its cold end; each solve checks
+its 16 front rows against it and its solvent against the ``ny x ny`` bands.
 """
 from __future__ import annotations
 
@@ -51,6 +52,8 @@ __all__ = [
 _RESIDUAL_TOL = 1e-12
 # The tail behind the front ends at the first row below this share of the trace.
 _TAIL_CUT = 1e-14
+# Fewest rows a tail holds; the near-front check covers exactly these rows.
+_MIN_ROWS = 16
 # Thread-count symbols of numpy's (``@``) and scipy's (``linalg``) OpenBLAS.
 _OPENBLAS = (
     ("numpy", "scipy_openblas_%s_num_threads64_"),
@@ -291,7 +294,7 @@ def _solvent(W: np.ndarray, D: np.ndarray, U: np.ndarray) -> np.ndarray:
     """Minimal solvent ``G`` of ``W + D G + U G^2 = 0`` by cyclic reduction
     (Bini & Meini, Numer. Algorithms 51, 2009), quadratically convergent
     with ratio ``rho(G)``.  A ``G`` left inexact at the step cap fails the
-    solve's backward-error check."""
+    solve's solvent check."""
     A0, A1, A2, hat = W, D, U, D
     for _ in range(64):  # about log2(35 / (c * hx)) steps are taken
         if np.max(np.abs(A0)) <= 1e-15 * np.max(np.abs(A1)):
@@ -301,6 +304,16 @@ def _solvent(W: np.ndarray, D: np.ndarray, U: np.ndarray) -> np.ndarray:
         hat = hat - A2 @ K0
         A0, A2 = -A0 @ K0, -A2 @ K2
     return -linalg.lu_solve(linalg.lu_factor(hat), W)
+
+
+def _solvent_residual(W, D, U, G) -> float:
+    """Normwise backward error ``|R| / (|W| + |D||G| + |U||G^2|)`` of ``G`` as
+    a solvent, ``R = W + D G + U G^2``, in Frobenius norms (Higham & Kim,
+    IMA J. Numer. Anal. 20, 2000)."""
+    G2 = G @ G
+    norm = np.linalg.norm
+    scale = norm(W) + norm(D) * norm(G) + norm(U) * norm(G2)
+    return float(norm(W + D @ G + U @ G2) / scale)
 
 
 def solve_temperature(psi: FrontProfile, c: float, grid: StripGrid) -> TemperatureField:
@@ -315,17 +328,21 @@ def solve_temperature(psi: FrontProfile, c: float, grid: StripGrid) -> Temperatu
     the rows beyond are zeros.  ``depth`` sets only ``hx``: when the tail is
     longer than the grid, ``values[0]`` holds its continuation ``G v_1``.
 
-    Check: the normwise backward error of the returned rows against
-    ``assemble_system`` over the same rows, with the far leg ``U G v_first``
-    moved into the right-hand side, must be at most ``1e-12``.  No
-    correction step follows.  The check runs inside the BLAS pin too.
+    Two checks, each bounded by ``1e-12``, both inside the BLAS pin; no
+    correction step follows.  The solvent check bounds the relative residual
+    ``R = W + D G + U G^2``: interior row ``k`` behind the trace has residual
+    ``R v_{k-1}``, so it covers every deep row at once.  The near-front check
+    is the normwise backward error of the flux row and the 15 rows behind it
+    against ``assemble_system`` over those 16 rows, with the far leg
+    ``U G v_15`` moved into the right-hand side.
 
     Raises:
         ValueError: on a nonpositive or nonfinite speed.
         ConfigurationError: if ``c * hx`` exceeds 2, before any factorization.
-        LinearSolverError: if factorization fails, or the backward error of
-            the returned rows is above ``1e-12`` or not a number; the error's
-            ``residual`` is that backward error.
+        LinearSolverError: if factorization fails, or either check is above
+            ``1e-12`` or not a number (the solvent check is tested first);
+            the error's ``residual`` is the failing value and its message
+            names the check.
     """
     bands, flux, back, flux_rhs = _strip_bands(psi, c, grid)
     U, D, W = (periodic_band(grid.ny, bands[k]).toarray() for k in (-1, 0, 1))
@@ -338,25 +355,30 @@ def solve_temperature(psi: FrontProfile, c: float, grid: StripGrid) -> Temperatu
             raise LinearSolverError(f"sparse factorization failed: {exc}") from exc
         tail = [lu.solve(flux_rhs)]
         cut = _TAIL_CUT * np.max(np.abs(tail[0]))
-        while len(tail) <= grid.nx and (len(tail) < 16 or abs(tail[-1]).max() >= cut):
+        while len(tail) <= grid.nx and (len(tail) < _MIN_ROWS or abs(tail[-1]).max() >= cut):
             tail.append(G @ tail[-1])
-        far_leg = U @ (G @ tail[-1])
         rows = len(tail)
         values = np.zeros((grid.nx + 1, grid.ny))
         values[grid.nx + 1 - rows :] = tail[::-1]
-        matrix, rhs = assemble_system(psi, c, StripGrid(rows, grid.ny, rows * grid.hx))
-        rhs[: grid.ny] -= far_leg
-        relative = _backward_error(matrix, values[-rows:].ravel(), rhs)
+        solvent = _solvent_residual(W, D, U, G)
+        strip = StripGrid(_MIN_ROWS, grid.ny, _MIN_ROWS * grid.hx)
+        matrix, rhs = assemble_system(psi, c, strip)
+        rhs[: grid.ny] -= U @ (G @ tail[_MIN_ROWS - 1])
+        near = _backward_error(matrix, values[-_MIN_ROWS:].ravel(), rhs)
     logger.debug(
-        "temperature solve: %d of %d rows at c=%.6g, backward error %.3e",
-        rows, grid.nx + 1, c, relative,
+        "temperature solve: %d of %d rows at c=%.6g, backward error %.3e (%d rows), "
+        "solvent residual %.3e",
+        rows, grid.nx + 1, c, near, _MIN_ROWS, solvent,
     )
-    if not relative <= _RESIDUAL_TOL:
-        raise LinearSolverError(
-            "linear solve failed to reach the residual target "
-            f"(backward error {relative:.3e})",
-            residual=relative,
-        )
+    for name, value, what in (
+        ("solvent", solvent, "relative residual of W + D G + U G^2"),
+        ("near-front", near, f"backward error over the {_MIN_ROWS} front rows"),
+    ):
+        if not value <= _RESIDUAL_TOL:
+            raise LinearSolverError(
+                f"temperature solve failed its {name} check: {what} is {value:.3e}",
+                residual=value,
+            )
     return TemperatureField(grid=grid, values=values, speed=float(c))
 
 

@@ -343,7 +343,8 @@ def test_debug_log_shows_every_sweep_and_temperature_solve(tmp_path):
     ]
     skipped = result.stderr.count("sweep skipped")
     errors = re.findall(
-        r"temperature solve: \d+ of 257 rows at c=\S+, backward error (\S+)\n",
+        r"temperature solve: \d+ of 257 rows at c=\S+, "
+        r"backward error (\S+) \(16 rows\), solvent residual (\S+)\n",
         result.stderr,
     )
     # Every sweep that is not skipped solves once, and nothing else does;
@@ -351,7 +352,7 @@ def test_debug_log_shows_every_sweep_and_temperature_solve(tmp_path):
     assert len(errors) == len(sweeps) - skipped == 6
     assert result.stderr.count("temperature solve:") == len(errors)
     assert result.stderr.count("BLAS thread pin: ") == 1
-    assert all(float(error) <= 1e-12 for error in errors)
+    assert all(float(value) <= 1e-12 for pair in errors for value in pair)
 
 
 def test_activation_sweep_parallel(tmp_path, capsys):

@@ -13,15 +13,19 @@ from scipy.sparse.linalg import splu
 
 import frontwave.temperature as temperature
 from frontwave import (
+    ArrheniusKinetics,
     ConfigurationError,
     FrontProfile,
     LinearSolverError,
+    PiecewiseConstantRate,
+    SolverConfig,
     StripGrid,
     TemperatureField,
     assemble_system,
     front_derivatives,
     gradient_energy,
     solve_temperature,
+    solve_traveling_wave,
 )
 
 
@@ -271,43 +275,121 @@ def test_backward_error_matches_linalg_norm_reference():
 
 
 def solve_log_fields(caplog):
-    """Rows and backward error from the per-solve log lines."""
+    """Rows, near-front backward error and solvent residual from the
+    per-solve log lines."""
     pattern = re.compile(
-        r"temperature solve: (\d+) of \d+ rows at c=\S+, backward error (\S+)"
+        r"temperature solve: (\d+) of \d+ rows at c=\S+, "
+        r"backward error (\S+) \(16 rows\), solvent residual (\S+)"
     )
     matches = (pattern.fullmatch(r.getMessage()) for r in caplog.records)
-    return [(int(m[1]), float(m[2])) for m in matches if m]
+    return [(int(m[1]), float(m[2]), float(m[3])) for m in matches if m]
+
+
+def front_strip(psi, c, grid):
+    """``assemble_system`` over the flux row and the 15 rows behind it."""
+    return assemble_system(psi, c, StripGrid(16, grid.ny, 16 * grid.hx))
+
+
+def recording_checks(monkeypatch, libs=()):
+    """Record what each check sees: for the near-front check the thread
+    counts of ``libs``, the matrix, solution and rhs; for the solvent check
+    the thread counts and the value."""
+    near, solvent = [], []
+    backward_error = temperature._backward_error
+    solvent_residual = temperature._solvent_residual
+
+    def record_near(matrix, solution, rhs):
+        near.append(([lib.threads for lib in libs], matrix, solution, rhs))
+        return backward_error(matrix, solution, rhs)
+
+    def record_solvent(*blocks):
+        solvent.append(([lib.threads for lib in libs], solvent_residual(*blocks)))
+        return solvent[-1][1]
+
+    monkeypatch.setattr(temperature, "_backward_error", record_near)
+    monkeypatch.setattr(temperature, "_solvent_residual", record_solvent)
+    return near, solvent
 
 
 def test_large_warm_strip_checks_its_rows_inside_the_blas_pin(monkeypatch, caplog):
-    """The backward-error norms run while every OpenBLAS copy is held at one
-    thread: a threaded ``ddot`` wakes a spinning worker above 10,000 entries."""
-    grid = StripGrid(nx=256, ny=64, depth=80.0)
-    psi = cosine_front(64, 0.05)
-    reference = solve_temperature(psi, 0.5, grid)
-    # The tail ends at the first deep-strip row below 1e-14 of the trace.
-    deep = deep_strip_rows(psi, 0.5, grid)[::-1]
-    below = np.max(np.abs(deep), axis=1) < 1e-14 * np.max(np.abs(deep[0]))
-
+    """Both checks run while every OpenBLAS copy is held at one thread, and
+    the near-front check covers 16 rows whatever the tail length: a tail of
+    about 190 rows, and one longer than the grid."""
     libs = fake_openblas(monkeypatch)
-    seen = []
-    backward_error = temperature._backward_error
+    near, solvent = recording_checks(monkeypatch, libs)
+    cases = [
+        (StripGrid(nx=256, ny=64, depth=80.0), cosine_front(64, 0.05)),
+        (StripGrid(nx=64, ny=8, depth=10.0), cosine_front(8)),
+    ]
+    tails = []
+    for grid, psi in cases:
+        near.clear()
+        solvent.clear()
+        caplog.clear()
+        # The tail ends at the first deep-strip row below 1e-14 of the trace,
+        # or at the grid's last row.
+        deep = deep_strip_rows(psi, 0.5, grid)[::-1]
+        below = np.max(np.abs(deep), axis=1) < 1e-14 * np.max(np.abs(deep[0]))
+        with caplog.at_level(logging.DEBUG, logger="frontwave"):
+            field = solve_temperature(psi, 0.5, grid)
+        [(rows, error, residual)] = solve_log_fields(caplog)
+        assert rows == 1 + np.argmax(np.append(below[: grid.nx], True))
+        tails.append(rows)
+        [(threads, matrix, solution, _)] = near
+        assert threads == [1, 1] and solution.size == 16 * grid.ny
+        assert np.array_equal(solution, field.values[-16:].ravel())
+        strip, _ = front_strip(psi, 0.5, grid)
+        assert matrix.shape == strip.shape and abs(matrix - strip).max() == 0.0
+        [(threads, value)] = solvent
+        assert threads == [1, 1] and value == pytest.approx(residual, rel=1e-3)
+        assert [lib.threads for lib in libs] == [2, 3]
+        assert error <= 1e-12 and residual <= 1e-12
+        error = np.max(np.abs(field.values[::-1] - deep[: grid.nx + 1]))
+        assert error <= 1e-12 * np.max(np.abs(deep))
+    assert tails[0] * 64 > 10_000 and tails[1] == 65
 
-    def record(matrix, solution, rhs):
-        seen.append(([lib.threads for lib in libs], solution.size))
-        return backward_error(matrix, solution, rhs)
 
-    monkeypatch.setattr(temperature, "_backward_error", record)
+def test_tail_at_the_row_floor_passes_both_checks(monkeypatch, caplog):
+    """At c hx = 1.6 the tail falls below 1e-14 of the trace within 16 rows,
+    so the checked strip is the whole tail, and its far leg is ``G v_15``."""
+    grid = StripGrid(nx=64, ny=8, depth=128.0)
+    psi = cosine_front(8, 0.01)
+    near, _ = recording_checks(monkeypatch)
     with caplog.at_level(logging.DEBUG, logger="frontwave"):
-        field = solve_temperature(psi, 0.5, grid)
-    [(rows, error)] = solve_log_fields(caplog)
-    assert rows == 1 + np.argmax(below) and rows * grid.ny > 10_000
-    assert seen == [([1, 1], rows * grid.ny)]
-    assert [lib.threads for lib in libs] == [2, 3]
-    assert error <= 1e-12
-    assert np.array_equal(field.values, reference.values)
-    error = np.max(np.abs(field.values[::-1] - deep[: grid.nx + 1]))
-    assert error <= 1e-12 * np.max(np.abs(deep))
+        field = solve_temperature(psi, 0.8, grid)
+    [(rows, error, residual)] = solve_log_fields(caplog)
+    assert rows == 16 and error <= 1e-12 and residual <= 1e-12
+    assert np.all(field.values[:-16] == 0.0)
+    [(_, matrix, _, _)] = near
+    assert abs(matrix - front_strip(psi, 0.8, grid)[0]).max() == 0.0
+    reference = deep_strip_rows(psi, 0.8, grid)
+    assert np.max(np.abs(field.values - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
+def test_deep_tail_of_b4_wave_checks_only_its_16_front_rows(monkeypatch, caplog):
+    """Arrhenius B = 4 on its auto 5632 x 64 grid returns more than 1500 rows
+    per solve, and every near-front check still assembles 16 rows."""
+    assembled = []
+    assemble = temperature.assemble_system
+
+    def record(psi, c, grid):
+        assembled.append(grid.nx)
+        return assemble(psi, c, grid)
+
+    monkeypatch.setattr(temperature, "assemble_system", record)
+    config = SolverConfig(
+        kinetics=ArrheniusKinetics(prefactor=1.0, activation=4.0),
+        rate=PiecewiseConstantRate(edges=(0.0, 0.5), values=(0.5, 1.5)),
+        ny=64,
+        run_diagnostics=False,
+    )
+    with caplog.at_level(logging.DEBUG, logger="frontwave"):
+        wave = solve_traveling_wave(config)
+    logged = solve_log_fields(caplog)
+    assert wave.grid.nx == 5632
+    assert max(rows for rows, _, _ in logged) > 1500
+    assert assembled == [16] * len(logged)
+    assert all(error <= 1e-12 and residual <= 1e-12 for _, error, residual in logged)
 
 
 class CountingLU:
@@ -341,36 +423,58 @@ def test_inexact_factorization_is_linear_solver_error_after_one_solve(
     monkeypatch, caplog
 ):
     """A trace factorization off by 1e-6 is not corrected by further solves:
-    the rows built from the first solution are checked, and they fail."""
+    the front rows built from the first solution are checked, and they fail."""
     grid = StripGrid(nx=64, ny=8, depth=10.0)
     psi = cosine_front(8)
     factored = perturbed_splu(monkeypatch, 1e-6)
-    checked = []
     backward_error = temperature._backward_error
-
-    def record(matrix, solution, rhs):
-        checked.append((matrix, solution, rhs))
-        return backward_error(matrix, solution, rhs)
-
-    monkeypatch.setattr(temperature, "_backward_error", record)
+    near, solvent = recording_checks(monkeypatch)
     with caplog.at_level(logging.DEBUG, logger="frontwave"):
         with pytest.raises(LinearSolverError) as info:
             solve_temperature(psi, 1.0, grid)
     assert info.value.exit_code == 2
     assert len(factored) == 1 and factored[0].solves == 1
-    [(rows, error)] = solve_log_fields(caplog)
-    [(matrix, solution, rhs)] = checked
-    # The check covers every returned row (here the whole grid, whose tail
-    # is longer than the strip) against the sparse operator of those rows.
-    assert rows == grid.nx + 1 and solution.size == rows * grid.ny
-    strip, _ = assemble_system(psi, 1.0, StripGrid(rows, grid.ny, rows * grid.hx))
+    [(rows, error, residual)] = solve_log_fields(caplog)
+    [(_, matrix, solution, rhs)] = near
+    # The tail is longer than the strip, so every grid row is returned; the
+    # near-front check covers the 16 front rows against their sparse operator.
+    assert rows == grid.nx + 1 and solution.size == 16 * grid.ny
+    strip, _ = front_strip(psi, 1.0, grid)
     assert abs(matrix - strip).max() == 0.0
     # The rows are off the deep-strip reference by about the perturbation.
     offset = np.max(np.abs(solution[-grid.ny :] - deep_strip_rows(psi, 1.0, grid)[-1]))
     assert 1e-9 < offset < 1e-4
-    # The error carries the backward error of the one solution.
+    # The solvent is exact; the error carries the near-front backward error.
+    [(_, value)] = solvent
+    assert value == pytest.approx(residual, rel=1e-3) and value <= 1e-12
     assert info.value.residual == backward_error(matrix, solution, rhs) > 1e-12
     assert error == pytest.approx(info.value.residual, rel=1e-3)
+    assert "near-front check" in str(info.value)
+
+
+def test_inexact_solvent_is_linear_solver_error_of_the_solvent_check(
+    monkeypatch, caplog
+):
+    """A solvent off by 1e-10 fails the solvent check, which names itself and
+    carries its residual."""
+    solvent = temperature._solvent
+    rng = np.random.default_rng(5)
+
+    def perturbed(*bands):
+        G = solvent(*bands)
+        return G * (1.0 + 1e-10 * rng.standard_normal(G.shape))
+
+    monkeypatch.setattr(temperature, "_solvent", perturbed)
+    _, residuals = recording_checks(monkeypatch)
+    with caplog.at_level(logging.DEBUG, logger="frontwave"):
+        with pytest.raises(LinearSolverError) as info:
+            solve_temperature(cosine_front(8), 0.5, PIN_GRID)
+    assert info.value.exit_code == 2
+    [(_, residual)] = residuals
+    assert info.value.residual == residual > 1e-12
+    assert "solvent check" in str(info.value)
+    [(_, _, logged)] = solve_log_fields(caplog)
+    assert logged == pytest.approx(residual, rel=1e-3)
 
 
 class FakeOpenBLAS:
