@@ -52,7 +52,11 @@ __all__ = [
 _RESIDUAL_TOL = 1e-12
 # The tail behind the front ends at the first row below this share of the trace.
 _TAIL_CUT = 1e-14
-# Fewest rows a tail holds; the near-front check covers exactly these rows.
+# Fewest rows a tail holds, and the rows of the near-front check's strip. The
+# solvent check already covers every interior row, so the strip is there for
+# the flux row, and its assembly keeps the ``temperature.assemble`` span; 16 is
+# the smallest strip ``StripGrid`` accepts. ROADMAP item 2 replaces the strip
+# with the ny x ny residual of the trace system ``(F + B G) v = r``.
 _MIN_ROWS = 16
 # Thread-count symbols of numpy's (``@``) and scipy's (``linalg``) OpenBLAS.
 _OPENBLAS = (

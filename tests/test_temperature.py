@@ -314,15 +314,17 @@ def recording_checks(monkeypatch, libs=()):
 def test_large_warm_strip_checks_its_rows_inside_the_blas_pin(monkeypatch, caplog):
     """Both checks run while every OpenBLAS copy is held at one thread, and
     the near-front check covers 16 rows whatever the tail length: a tail of
-    about 190 rows, and one longer than the grid."""
-    libs = fake_openblas(monkeypatch)
-    near, solvent = recording_checks(monkeypatch, libs)
+    about 190 rows, and one longer than the grid. The values do not depend on
+    the thread count: each grid is first solved under the real pin."""
     cases = [
         (StripGrid(nx=256, ny=64, depth=80.0), cosine_front(64, 0.05)),
         (StripGrid(nx=64, ny=8, depth=10.0), cosine_front(8)),
     ]
+    references = [solve_temperature(psi, 0.5, grid) for grid, psi in cases]
+    libs = fake_openblas(monkeypatch)
+    near, solvent = recording_checks(monkeypatch, libs)
     tails = []
-    for grid, psi in cases:
+    for (grid, psi), reference in zip(cases, references):
         near.clear()
         solvent.clear()
         caplog.clear()
@@ -332,6 +334,7 @@ def test_large_warm_strip_checks_its_rows_inside_the_blas_pin(monkeypatch, caplo
         below = np.max(np.abs(deep), axis=1) < 1e-14 * np.max(np.abs(deep[0]))
         with caplog.at_level(logging.DEBUG, logger="frontwave"):
             field = solve_temperature(psi, 0.5, grid)
+        assert np.array_equal(field.values, reference.values)
         [(rows, error, residual)] = solve_log_fields(caplog)
         assert rows == 1 + np.argmax(np.append(below[: grid.nx], True))
         tails.append(rows)
