@@ -15,13 +15,9 @@ The wave quotes the last stage's fixed point (profile, trace, field).  No
 sweep follows it: only the forcing is rebuilt from that trace and the speed
 from that forcing, so the speed identity holds exactly.
 
-A sweep whose forcing equals the one that produced the current profile is
-skipped: the front solve would start from its own converged answer and take
-no Newton step, and the temperature solve would repeat the same operator, so
-the sweep returns its input unchanged (update 0).  This happens wherever the
-floor binds at every node, e.g. at ``n = 1`` and ``n = 2`` for Arrhenius
-kinetics with ``K <= e^{-1}``, where every sweep of a stage sees the same
-forcing ``R / n``.
+A stage whose floor ``1/n`` lies above ``K(1)`` is not solved: its law is the
+constant ``1/n`` on the whole unit interval, so it would solve only the
+geometry of ``R / n``.  It still uses up one slot of the stage budget.
 """
 from __future__ import annotations
 
@@ -108,17 +104,12 @@ class SolverConfig:
 
 
 class _PicardState(NamedTuple):
-    """One iterate of the outer fixed-point loop.
-
-    ``forcing`` is the forcing whose front solve produced ``psi``; it is
-    ``None`` in the initial state.
-    """
+    """One iterate of the outer fixed-point loop."""
 
     speed: float
     psi: FrontProfile
     theta: np.ndarray
     field: Optional[TemperatureField]
-    forcing: Optional[Forcing] = None
 
 
 @dataclass(frozen=True)
@@ -254,25 +245,11 @@ def _picard_step(
     rate: CombustionRate,
     grid: StripGrid,
 ) -> _PicardState:
-    """One sweep of the outer loop.
-
-    A sweep whose forcing equals ``state.forcing`` returns ``state`` itself.
-    That is exact: ``psi`` is then the min-normalized profile ``relax_front``
-    returned for this very forcing, so a front solve warm-started from it
-    passes its (shift-invariant) stopping test before any Newton step and
-    returns the same profile and speed, and the temperature solve on them
-    would repeat the operator that produced ``state.field``.
-    """
+    """One sweep of the outer loop."""
     forcing = build_forcing(kinetics, rate, state.theta)
-    if state.forcing is not None and np.array_equal(
-        forcing.values, state.forcing.values
-    ):
-        return state
     speed, psi = relax_front(forcing, state.psi)
     field = solve_temperature(psi, speed, grid)
-    return _PicardState(
-        speed=speed, psi=psi, theta=field.trace, field=field, forcing=forcing
-    )
+    return _PicardState(speed=speed, psi=psi, theta=field.trace, field=field)
 
 
 def _initial_state(config: SolverConfig, grid: StripGrid) -> _PicardState:
@@ -329,12 +306,7 @@ def solve_at_truncation(
         updates.append(delta)
         speeds.append(new.speed)
         logger.debug(
-            "stage n=%d sweep %d: speed %.12g, update %.3g%s",
-            n,
-            sweep,
-            new.speed,
-            delta,
-            " (forcing already solved; sweep skipped)" if new is state else "",
+            "stage n=%d sweep %d: speed %.12g, update %.3g", n, sweep, new.speed, delta
         )
         state = new
         if not np.isfinite(delta):
@@ -373,7 +345,12 @@ def solve_traveling_wave(config: SolverConfig) -> TravelingWave:
     prev_speed = None
     history = []
 
+    k_hot = float(base.evaluate(1.0))
     for _ in range(_MAX_STAGES):
+        if k_hot < 1.0 / n:
+            # The floor lies above K on all of [0, 1] (K is nondecreasing).
+            n *= 2
+            continue
         state, updates = solve_at_truncation(config, n, grid=grid, start=state)
         floor_inactive = _floor_inactive(base, state.theta, n)
         gap = (
@@ -413,7 +390,8 @@ def solve_traveling_wave(config: SolverConfig) -> TravelingWave:
         n *= 2
     else:
         raise NonConvergenceError(
-            "continuation exhausted its stage budget before the speed settled",
+            "continuation exhausted its stage budget before the speed settled; last "
+            f"stage tried n={n // 2}, floor 1/n = {2.0 / n:.3g}, K(1) = {k_hot:.3g}",
             iterations=_MAX_STAGES,
             residual=history[-1].speed_gap if history else None,
             history=[rec.speed for rec in history][-8:],

@@ -184,19 +184,16 @@ class TemperatureField:
         return self.values[-1]
 
 
-def periodic_band(n: int, legs) -> sparse.coo_matrix:
-    """``n x n`` band that wraps around: row ``j`` holds ``coeffs[j]`` in
-    column ``(j + shift) mod n`` for each ``(shift, coeffs)`` leg."""
-    rows = np.arange(n)
-    cols = np.concatenate([(rows + shift) % n for shift, _ in legs])
-    data = np.concatenate([np.broadcast_to(coeffs, n) for _, coeffs in legs])
-    return sparse.coo_matrix((data, (np.tile(rows, len(legs)), cols)), shape=(n, n))
+def _periodic_band(legs) -> np.ndarray:
+    """Dense band that wraps around: row ``j`` holds ``coeffs[j]`` in column
+    ``(j + shift) mod n`` for each ``(shift, coeffs)`` leg."""
+    return sum(np.roll(np.diag(coeffs), shift, axis=1) for shift, coeffs in legs)
 
 
 def _strip_bands(psi: FrontProfile, c: float, grid: StripGrid):
-    """Y-band legs of the strip operator, ``bands[k]`` at X-offset ``k`` of an
-    interior line, then the flux row's legs, back-leg diagonal and right-hand
-    side: one stencil for both solvers.  Raises as ``assemble_system``."""
+    """Dense ``ny x ny`` Y-bands of the strip operator, ``bands[k]`` at X-offset
+    ``k`` of an interior line, then the flux row's band, back-leg diagonal and
+    right-hand side: one stencil for both solvers.  Raises as ``assemble_system``."""
     if psi.ny != grid.ny:
         raise ValueError("front profile size does not match the grid")
     if not (np.isfinite(c) and c > 0.0):
@@ -217,24 +214,24 @@ def _strip_bands(psi: FrontProfile, c: float, grid: StripGrid):
     m4 = slope / (2.0 * hx * hy)
     beta = 2.0 * hx * (1.0 + (a * hx / d) ** 2 / 6.0) / d
 
-    lap_y = -1.0 / (hy * hy)
+    lap_y = np.full(grid.ny, -1.0 / (hy * hy))
     bands = {
-        0: [(0, diag), (1, lap_y), (-1, lap_y)],
-        1: [(0, w), (1, m4), (-1, -m4)],
-        -1: [(0, uu), (1, -m4), (-1, m4)],
+        0: _periodic_band([(0, diag), (1, lap_y), (-1, lap_y)]),
+        1: _periodic_band([(0, w), (1, m4), (-1, -m4)]),
+        -1: _periodic_band([(0, uu), (1, -m4), (-1, m4)]),
     }
     # Flux row: ghost line eliminated through the de-biased centered flux;
     # the ghost values of the y-neighbors enter through the mixed term and
     # widen the row to j +/- 2.
     mix = beta * slope / (2.0 * hy)
     mix_up, mix_down = np.roll(mix, -1), np.roll(mix, 1)
-    flux = [
+    flux = _periodic_band([
         (0, diag - m4 * (mix_up + mix_down)),
         (1, lap_y + w * mix),
         (-1, lap_y - w * mix),
         (2, m4 * mix_up),
         (-2, m4 * mix_down),
-    ]
+    ])
     beta_dy = np.roll(beta, -1) - np.roll(beta, 1)
     return bands, flux, -2.0 * d / (hx * hx), -c * (w * beta + m4 * beta_dy)
 
@@ -255,25 +252,24 @@ def assemble_system(psi: FrontProfile, c: float, grid: StripGrid):
     nx, ny = grid.nx, grid.ny
     # Interior rows i = 1..nx-1, one Y-band per X-offset; eye() drops the
     # leg of row 1 that reaches the Dirichlet row i = 0.  kron is asked for
-    # COO: by default it returns BSR, whose dense blocks store zeros.
+    # COO: by default it returns BSR, whose dense blocks store zeros.  It
+    # stores no zero of a dense band, such as the mixed legs of a flat front.
     blocks = [
-        (0, sparse.kron(sparse.eye(nx - 1, nx, k), periodic_band(ny, legs), "coo"))
-        for k, legs in bands.items()
+        (0, sparse.kron(sparse.eye(nx - 1, nx, k), band, "coo"))
+        for k, band in bands.items()
     ]
     flux_start = (nx - 1) * ny
     blocks += [
         (flux_start, sparse.kron(sparse.eye(1, nx, nx - 1 + k), band, "coo"))
-        for k, band in ((0, periodic_band(ny, flux)), (-1, sparse.diags(back)))
+        for k, band in ((0, flux), (-1, np.diag(back)))
     ]
 
-    # One conversion for all terms; the mixed legs of a flat or locally flat
-    # front are exact zeros and are not stored.
+    # One conversion for all terms.
     row, col, data = (
         np.concatenate(parts)
         for parts in zip(*((b.row + start, b.col, b.data) for start, b in blocks))
     )
     matrix = sparse.csc_matrix((data, (row, col)), shape=(nx * ny, nx * ny))
-    matrix.eliminate_zeros()
 
     rhs = np.zeros(nx * ny)
     rhs[flux_start:] = flux_rhs
@@ -349,10 +345,10 @@ def solve_temperature(psi: FrontProfile, c: float, grid: StripGrid) -> Temperatu
             names the check.
     """
     bands, flux, back, flux_rhs = _strip_bands(psi, c, grid)
-    U, D, W = (periodic_band(grid.ny, bands[k]).toarray() for k in (-1, 0, 1))
+    U, D, W = bands[-1], bands[0], bands[1]
     with _BLAS_PIN:
         G = _solvent(W, D, U)
-        trace_matrix = periodic_band(grid.ny, flux).toarray() + back[:, None] * G
+        trace_matrix = flux + back[:, None] * G
         try:
             lu = sparse_linalg.splu(sparse.csc_matrix(trace_matrix))
         except RuntimeError as exc:

@@ -238,13 +238,14 @@ def test_singular_front_step_is_nonconvergence_with_manifest(tmp_path, monkeypat
     assert manifest["error"] == "NonConvergenceError"
     assert manifest["exit_code"] == 2
     assert "front Newton solve" in manifest["reason"]
-    assert "stage n=1" in manifest["reason"]
+    assert "stage n=4" in manifest["reason"]
     assert manifest["iterations"] == 0
     assert manifest["history"] == [manifest["residual"]]
 
 
 def test_exhausted_sweep_budget_is_nonconvergence_with_history(tmp_path, monkeypatch):
-    # The n=1 stage of a striated medium needs two sweeps; it is not retried.
+    # The first stage solved, n=4, of a striated medium needs more than one
+    # sweep; it is not retried.
     monkeypatch.setattr(coupler, "_MAX_SWEEPS", 1)
     doc = dict(FLAT_DOC, rate={"type": "piecewise", "edges": [0.0, 0.5],
                                "values": [0.5, 1.5]})
@@ -256,7 +257,7 @@ def test_exhausted_sweep_budget_is_nonconvergence_with_history(tmp_path, monkeyp
     assert manifest["status"] == "failed"
     assert manifest["error"] == "NonConvergenceError"
     assert manifest["exit_code"] == 2
-    assert "stage n=1" in manifest["reason"]
+    assert "stage n=4" in manifest["reason"]
     assert "sweep budget" in manifest["reason"]
     assert manifest["iterations"] == 1
     [(speed, update)] = manifest["history"]
@@ -341,18 +342,45 @@ def test_debug_log_shows_every_sweep_and_temperature_solve(tmp_path):
         for stage in read_manifest(outdir)["stages"]
         for k in range(1, stage["sweeps"] + 1)
     ]
-    skipped = result.stderr.count("sweep skipped")
+    assert "skipped" not in result.stderr
     errors = re.findall(
         r"temperature solve: \d+ of 257 rows at c=\S+, "
         r"backward error (\S+) \(16 rows\), solvent residual (\S+)\n",
         result.stderr,
     )
-    # Every sweep that is not skipped solves once, and nothing else does;
-    # no other line carries the marker a plain grep counts.
-    assert len(errors) == len(sweeps) - skipped == 6
+    # Every sweep solves once, and nothing else does; no other line carries
+    # the marker a plain grep counts.
+    assert len(errors) == len(sweeps) == 4
     assert result.stderr.count("temperature solve:") == len(errors)
     assert result.stderr.count("BLAS thread pin: ") == 1
     assert all(float(value) <= 1e-12 for pair in errors for value in pair)
+
+
+def test_floor_bound_stage_budget_is_nonconvergence_naming_the_floor(
+    tmp_path, monkeypatch
+):
+    # K(1) = e^-50 lies below every floor 1/n with n <= 2^23, so each of the
+    # 24 stages is skipped and nothing is solved.
+    calls = []
+    for name in ("relax_front", "solve_temperature"):
+        monkeypatch.setattr(coupler, name, lambda *args, _name=name: calls.append(_name))
+    doc = dict(FLAT_DOC, kinetics={"type": "arrhenius", "prefactor": 1.0,
+                                   "activation": 50.0},
+               grid={"ny": 8, "nx": 256, "depth": 40.0})
+    outdir = tmp_path / "run"
+    code = main(["solve", "--config", write_config(tmp_path, doc),
+                 "--out", str(outdir)])
+    assert code == 2
+    assert calls == []
+    manifest = read_manifest(outdir)
+    assert manifest["status"] == "failed"
+    assert manifest["error"] == "NonConvergenceError"
+    assert manifest["iterations"] == 24
+    assert manifest["reason"] == (
+        "continuation exhausted its stage budget before the speed settled; "
+        f"last stage tried n=8388608, floor 1/n = {2.0 ** -23:.3g}, "
+        f"K(1) = {math.exp(-50.0):.3g}"
+    )
 
 
 def test_activation_sweep_parallel(tmp_path, capsys):

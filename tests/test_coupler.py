@@ -17,6 +17,7 @@ from frontwave import (
     SmoothRate,
     SolverConfig,
     StripGrid,
+    TabulatedKinetics,
     TemperatureField,
     TravelingWave,
     build_forcing,
@@ -136,7 +137,9 @@ def count_sweep_solves(monkeypatch):
     return calls
 
 
-def test_picard_step_skips_an_already_solved_forcing(monkeypatch):
+def test_sweep_on_an_already_solved_forcing_returns_a_bit_identical_state(
+    monkeypatch,
+):
     config = flat_like(
         rate=PiecewiseConstantRate(edges=(0.0, 0.5), values=(0.5, 1.5)),
         nx=None,
@@ -144,46 +147,82 @@ def test_picard_step_skips_an_already_solved_forcing(monkeypatch):
     )
     grid = resolve_grid(config)
     # At n = 1 the floor binds everywhere, so the forcing is the rate itself
-    # and the stage ends on a sweep that repeats a solved forcing.
+    # and every sweep of the stage solves the same forcing again.
     kinetics = truncate_kinetics(config.kinetics, 1)
-    state, _ = solve_at_truncation(config, 1, grid=grid)
-    assert state.forcing is not None
-    assert np.array_equal(
-        state.forcing.values, build_forcing(kinetics, config.rate, state.theta).values
-    )
+    state, updates = solve_at_truncation(config, 1, grid=grid)
+    assert updates[-1] == 0.0
     calls = count_sweep_solves(monkeypatch)
 
-    assert _picard_step(state, kinetics, config.rate, grid) is state
-    assert calls == {"relax_front": 0, "solve_temperature": 0}
-
-    # The sweep the skip stands in for gives back the same state, bit for bit.
-    full = _picard_step(state._replace(forcing=None), kinetics, config.rate, grid)
+    # The sweep runs both solves and gives back the same state, bit for bit,
+    # so no sweep needs to be skipped.
+    again = _picard_step(state, kinetics, config.rate, grid)
     assert calls == {"relax_front": 1, "solve_temperature": 1}
-    assert full.speed == state.speed
-    assert np.array_equal(full.psi.values, state.psi.values)
-    assert np.array_equal(full.theta, state.theta)
-    assert np.array_equal(full.forcing.values, state.forcing.values)
+    assert again.speed == state.speed
+    assert np.array_equal(again.psi.values, state.psi.values)
+    assert np.array_equal(again.theta, state.theta)
+    assert np.array_equal(again.field.values, state.field.values)
 
 
-def test_skipped_sweeps_still_count_and_are_logged(monkeypatch, caplog):
+def test_every_sweep_solves_once_and_repeats_no_forcing(monkeypatch, caplog):
     calls = count_sweep_solves(monkeypatch)
+    forcings = []
+    counted_front = coupler.relax_front
+
+    def recording_front(forcing, *args, **kwargs):
+        forcings.append(forcing.values)
+        return counted_front(forcing, *args, **kwargs)
+
+    monkeypatch.setattr(coupler, "relax_front", recording_front)
+    config = flat_like(
+        rate=PiecewiseConstantRate(edges=(0.0, 0.5), values=(0.5, 1.5)),
+        nx=None,
+        depth=None,
+        run_diagnostics=False,
+    )
     with caplog.at_level(logging.DEBUG, logger="frontwave"):
-        wave = solve_traveling_wave(flat_like(run_diagnostics=False))
-    sweep_lines = [
-        r.getMessage() for r in caplog.records if ", update " in r.getMessage()
-    ]
-    skipped = [line for line in sweep_lines if "sweep skipped" in line]
+        wave = solve_traveling_wave(config)
+    messages = [r.getMessage() for r in caplog.records]
+    sweep_lines = [line for line in messages if ", update " in line]
     stages = [(rec.truncation, rec.sweeps) for rec in wave.history]
-    assert stages == [(1, 1), (2, 2), (4, 3), (8, 1)]
+    # K(1) = e^-1 lies below the floors 1 and 1/2, so n = 1 and 2 are not solved.
+    assert stages == [(4, 3), (8, 1)]
     assert len(sweep_lines) == sum(sweeps for _, sweeps in stages)
-    # The second sweep of n = 2 repeats the forcing R/2 of the first.
-    assert skipped == [
-        f"stage n=2 sweep 2: speed {wave.history[1].speed:.12g}, update 0 "
-        "(forcing already solved; sweep skipped)"
-    ]
-    # One front and one temperature solve per sweep, none for the skipped
-    # sweep, and none after the last stage.
-    assert calls["relax_front"] == calls["solve_temperature"] == 7 - 1
+    assert not any("skipped" in line for line in messages)
+    # One front and one temperature solve per sweep, none after the last stage.
+    assert calls["relax_front"] == calls["solve_temperature"] == len(sweep_lines)
+    assert not any(np.array_equal(a, b) for a, b in zip(forcings, forcings[1:]))
+
+
+class _StageReached(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "kinetics, first",
+    [
+        (ArrheniusKinetics(prefactor=1.0, activation=1.0), 4),
+        (ArrheniusKinetics(prefactor=1.0, activation=4.0), 64),
+        (ConstantKinetics(0.5), 2),
+        (ConstantKinetics(2.0), 1),
+        (TabulatedKinetics(((0.0, 0.0), (0.5, 0.1), (1.0, 1.0))), 1),
+    ],
+    ids=["arrhenius-B1", "arrhenius-B4", "constant-0.5", "constant-2", "tabulated"],
+)
+def test_first_solved_stage_is_the_first_floor_at_most_k_of_one(
+    monkeypatch, kinetics, first
+):
+    """Stages whose floor ``1/n`` lies strictly above ``K(1)`` are not solved;
+    a floor equal to ``K(1)`` is."""
+    stages = []
+
+    def first_stage(config, n, **kwargs):
+        stages.append(n)
+        raise _StageReached
+
+    monkeypatch.setattr(coupler, "solve_at_truncation", first_stage)
+    with pytest.raises(_StageReached):
+        solve_traveling_wave(flat_like(kinetics=kinetics))
+    assert stages == [first]
 
 
 def test_undamped_iteration_converges_quickly_for_uniform_rate():
@@ -250,9 +289,9 @@ def test_stage_retries_neither_outer_nor_front_failures(monkeypatch):
     monkeypatch.setattr(coupler, "_MAX_SWEEPS", 1)
     with pytest.raises(NonConvergenceError, match="exhausted") as excinfo:
         solve_traveling_wave(flat_like(**striated))
-    assert stage_calls == [1]
+    assert stage_calls == [4]
     err = excinfo.value
-    assert "stage n=1" in str(err)
+    assert "stage n=4" in str(err)
     assert err.iterations == 1
     assert len(err.history) == 1
 
@@ -267,7 +306,7 @@ def test_stage_retries_neither_outer_nor_front_failures(monkeypatch):
     with pytest.raises(NonConvergenceError, match="front solve failed"):
         solve_traveling_wave(flat_like(**striated))
     assert len(front_calls) == 1
-    assert stage_calls == [1]
+    assert stage_calls == [4]
 
 
 def test_flat_wave_matches_closed_form(flat_wave):
@@ -290,11 +329,12 @@ def test_constant_kinetics_stops_without_truncation():
 def test_stage_history_brackets_and_doubling(striated_wave):
     base = ArrheniusKinetics(1.0, 1.0)
     r_lo, r_hi = 0.5, 1.5
-    previous_n = 0
-    for record in striated_wave.history:
+    # The first stage solved is the first whose floor is at most K(1).
+    first = striated_wave.history[0].truncation
+    assert 2.0 / first > base.evaluate(1.0) >= 1.0 / first
+    for k, record in enumerate(striated_wave.history):
         n = record.truncation
-        assert n == 1 if previous_n == 0 else n == 2 * previous_n
-        previous_n = n
+        assert n == first * 2**k
         lower = r_lo * truncate_kinetics(base, n).unit_integral()
         upper = r_hi * max(base.supremum, 1.0 / n)
         assert record.speed >= lower - 1e-3
