@@ -99,10 +99,11 @@ def write_solution(outdir, wave: TravelingWave, config_echo: dict):
         outdir / "trace.csv", TRACE_COLUMNS, zip(y, wave.theta, reaction)
     )
 
-    header = f"{grid.nx} {grid.ny} {_fmt(grid.depth)}"
-    np.savetxt(
-        outdir / "field.dat", wave.field.values, fmt="%.17g", header=header,
-        comments="",
+    # The text of np.savetxt(fmt="%.17g"), from one format call.
+    row = " ".join(["%.17g"] * grid.ny) + "\n"
+    (outdir / "field.dat").write_text(
+        f"{grid.nx} {grid.ny} {_fmt(grid.depth)}\n"
+        + row * (grid.nx + 1) % tuple(wave.field.values.ravel().tolist())
     )
 
     artifacts = ["front.csv", "trace.csv", "field.dat"]

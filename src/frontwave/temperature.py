@@ -20,7 +20,9 @@ The operator is block-tridiagonal in X with periodic bands in Y: each node
 line couples to itself and its X-neighbours through bands that wrap around
 in Y (three-point in the interior, five-point on the flux row).  Interior
 lines all hold the same bands, so the solve needs one ``ny x ny`` solvent
-(``solve_temperature``); ``depth`` sets only ``hx`` and the rows shown.
+``G`` (``solve_temperature``), and the rows behind the trace are its images
+under powers of ``G``, built by doubling; ``depth`` sets only ``hx`` and the
+rows shown.
 ``assemble_system`` builds, from ``kron(X-offset, Y-band)`` terms, the
 operator of a finite strip with ``v = 0`` at its cold end; each solve checks
 its 16 front rows against it and its solvent against the ``ny x ny`` bands.
@@ -187,7 +189,11 @@ class TemperatureField:
 def _periodic_band(legs) -> np.ndarray:
     """Dense band that wraps around: row ``j`` holds ``coeffs[j]`` in column
     ``(j + shift) mod n`` for each ``(shift, coeffs)`` leg."""
-    return sum(np.roll(np.diag(coeffs), shift, axis=1) for shift, coeffs in legs)
+    rows = np.arange(len(legs[0][1]))
+    band = np.zeros((rows.size, rows.size))
+    for shift, coeffs in legs:
+        band[rows, (rows + shift) % rows.size] += coeffs
+    return band
 
 
 def _strip_bands(psi: FrontProfile, c: float, grid: StripGrid):
@@ -253,14 +259,15 @@ def assemble_system(psi: FrontProfile, c: float, grid: StripGrid):
     # Interior rows i = 1..nx-1, one Y-band per X-offset; eye() drops the
     # leg of row 1 that reaches the Dirichlet row i = 0.  kron is asked for
     # COO: by default it returns BSR, whose dense blocks store zeros.  It
-    # stores no zero of a dense band, such as the mixed legs of a flat front.
+    # stores no zero of a dense shift or band, such as the mixed legs of a
+    # flat front.
     blocks = [
-        (0, sparse.kron(sparse.eye(nx - 1, nx, k), band, "coo"))
+        (0, sparse.kron(np.eye(nx - 1, nx, k), band, "coo"))
         for k, band in bands.items()
     ]
     flux_start = (nx - 1) * ny
     blocks += [
-        (flux_start, sparse.kron(sparse.eye(1, nx, nx - 1 + k), band, "coo"))
+        (flux_start, sparse.kron(np.eye(1, nx, nx - 1 + k), band, "coo"))
         for k, band in ((0, flux), (-1, np.diag(back)))
     ]
 
@@ -323,10 +330,12 @@ def solve_temperature(psi: FrontProfile, c: float, grid: StripGrid) -> Temperatu
     so the decaying solutions are ``v_{i-1} = G v_i``, ``G`` the minimal
     solvent of ``W + D G + U G^2 = 0`` (``rho(G) ~ e^{-c hx}``).  The trace
     solves the ``ny x ny`` flux system ``(F + B G) v = r`` (one sparse LU,
-    one solve); the rows behind it are ``G v, G^2 v, ...`` up to the first
-    below ``1e-14`` of the trace (at least 16 rows, at most ``nx + 1``), and
-    the rows beyond are zeros.  ``depth`` sets only ``hx``: when the tail is
-    longer than the grid, ``values[0]`` holds its continuation ``G v_1``.
+    one solve); the rows behind it are ``G v, G^2 v, ...``, built by doubling:
+    rows ``k..2k-1`` are rows ``0..k-1`` times ``(G^k)^T``, ``G^k`` by
+    squaring.  The tail ends at the first row at index 15 or more whose max is
+    below ``1e-14`` of the trace's (so at least 16 rows), or at ``nx + 1``
+    rows, and the rows beyond are zeros.  ``depth`` sets only ``hx``: when the
+    tail is longer than the grid, ``values[0]`` holds its continuation.
 
     Two checks, each bounded by ``1e-12``, both inside the BLAS pin; no
     correction step follows.  The solvent check bounds the relative residual
@@ -353,13 +362,16 @@ def solve_temperature(psi: FrontProfile, c: float, grid: StripGrid) -> Temperatu
             lu = sparse_linalg.splu(sparse.csc_matrix(trace_matrix))
         except RuntimeError as exc:
             raise LinearSolverError(f"sparse factorization failed: {exc}") from exc
-        tail = [lu.solve(flux_rhs)]
-        cut = _TAIL_CUT * np.max(np.abs(tail[0]))
-        while len(tail) <= grid.nx and (len(tail) < _MIN_ROWS or abs(tail[-1]).max() >= cut):
-            tail.append(G @ tail[-1])
-        rows = len(tail)
+        # Double until a row from index 15 on is below the cut or the grid is full.
+        tail, power, above = lu.solve(flux_rhs)[None], G, np.ones(0, bool)
+        cut = _TAIL_CUT * np.max(np.abs(tail))
+        while len(tail) <= grid.nx and above.all():
+            tail = np.vstack([tail, tail[: grid.nx + 1 - len(tail)] @ power.T])
+            power = power @ power
+            above = np.abs(tail[_MIN_ROWS - 1 :]).max(axis=1) >= cut
+        rows = len(tail) if above.all() else _MIN_ROWS + np.argmin(above)
         values = np.zeros((grid.nx + 1, grid.ny))
-        values[grid.nx + 1 - rows :] = tail[::-1]
+        values[grid.nx + 1 - rows :] = tail[rows - 1 :: -1]
         solvent = _solvent_residual(W, D, U, G)
         strip = StripGrid(_MIN_ROWS, grid.ny, _MIN_ROWS * grid.hx)
         matrix, rhs = assemble_system(psi, c, strip)

@@ -78,6 +78,24 @@ def test_front_csv_columns_are_consistent(rundir, flat_wave):
     assert np.all(trace["reaction"] > 0.0)
 
 
+@pytest.mark.parametrize("name", ["flat_wave", "striated_wave"])
+def test_field_file_is_the_savetxt_text_and_reads_back_exactly(name, request, tmp_path):
+    """``flat``'s tail is longer than its grid; ``striated``'s ends in zero
+    rows.  Either way ``field.dat`` holds the text ``np.savetxt`` writes."""
+    wave = request.getfixturevalue(name)
+    values, grid = wave.field.values, wave.grid
+    assert np.all(values[0] != 0.0) if name == "flat_wave" else np.all(values[0] == 0.0)
+    write_solution(tmp_path / "run", wave, FLAT_ECHO)
+    np.savetxt(
+        tmp_path / "reference.dat", values, fmt="%.17g",
+        header=f"{grid.nx} {grid.ny} {grid.depth:.17g}", comments="",
+    )
+    field_file = tmp_path / "run" / "field.dat"
+    assert field_file.read_bytes() == (tmp_path / "reference.dat").read_bytes()
+    read_grid, read_values = read_field(field_file)
+    assert read_grid == grid and np.array_equal(read_values, values)
+
+
 def test_read_columns_rejects_wrong_header(rundir):
     with pytest.raises(ConfigurationError):
         read_columns(rundir / "front.csv", TRACE_COLUMNS)

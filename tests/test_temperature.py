@@ -369,6 +369,126 @@ def test_tail_at_the_row_floor_passes_both_checks(monkeypatch, caplog):
     assert np.max(np.abs(field.values - reference)) <= 1e-12 * np.max(np.abs(reference))
 
 
+def sequential_tail(psi, c, grid):
+    """The tail by its row rule, one ``G @ v`` product per row: from the
+    trace, rows until the first at index 15 or more whose max is below
+    1e-14 of the trace's, and at most ``nx + 1``."""
+    bands, flux, back, rhs = temperature._strip_bands(psi, c, grid)
+    with temperature._BLAS_PIN:
+        G = temperature._solvent(bands[1], bands[0], bands[-1])
+        tail = [splu(sparse.csc_matrix(flux + back[:, None] * G)).solve(rhs)]
+        cut = 1e-14 * np.max(np.abs(tail[0]))
+        while len(tail) <= grid.nx and (len(tail) < 16 or np.abs(tail[-1]).max() >= cut):
+            tail.append(G @ tail[-1])
+    return np.array(tail)
+
+
+@pytest.mark.parametrize(
+    "psi, c, grid, rows",
+    [
+        # c hx = 1.6: the tail stops at the 16-row floor.
+        (cosine_front(8, 0.01), 0.8, StripGrid(nx=64, ny=8, depth=128.0), 16),
+        # A striated-like front: the tail ends about two thirds into the grid.
+        (cosine_front(32), 0.3677, StripGrid(nx=512, ny=32, depth=134.7), 338),
+        # c depth = 5: the tail is longer than the grid, so values[0] holds
+        # its continuation.
+        (cosine_front(8), 0.5, StripGrid(nx=64, ny=8, depth=10.0), 65),
+    ],
+)
+def test_doubled_tail_matches_the_sequential_recurrence(psi, c, grid, rows):
+    """Rows built by power doubling keep the row rule and the trace bit for
+    bit. The powers of G round differently from the one-row products, by
+    about k ulp at row k, far below the field's scale."""
+    reference = sequential_tail(psi, c, grid)
+    field = solve_temperature(psi, c, grid).values[::-1]
+    assert len(reference) == rows
+    assert np.all(field[rows:] == 0.0) and np.all(np.abs(field[rows - 1]) > 0.0)
+    assert np.array_equal(field[0], reference[0])
+    error = np.abs(field[:rows] - reference).max(axis=1)
+    assert error.max() <= 2e-15 * np.max(np.abs(reference))
+    assert np.all(error <= 1e-13 * np.abs(reference).max(axis=1))
+
+
+class FixedLU:
+    """An LU whose every solve returns the same trace."""
+
+    def __init__(self, trace):
+        self.trace = trace
+
+    def solve(self, rhs):
+        return self.trace.copy()
+
+
+def test_tail_does_not_stop_on_a_row_below_the_cut_before_the_floor(monkeypatch):
+    """Row 9 of this tail is 2^-70 of the trace and rows 10 on are above the
+    cut until row 56: the rule tests only rows from index 15, so the tail has
+    57 rows, not 16. A shift chain makes every power exact."""
+    ny, half, tiny = 16, 0.5, 2.0**-70
+    G = np.zeros((ny, ny))
+    for j in range(8):
+        G[j + 1, j] = 1.0  # rows 0..8 are e_0..e_8
+    G[9, 8], G[10, 9], G[10, 10] = tiny, half / tiny, half
+    monkeypatch.setattr(temperature, "_solvent", lambda *bands: G)
+    monkeypatch.setattr(temperature, "_solvent_residual", lambda *blocks: 0.0)
+    monkeypatch.setattr(temperature, "_backward_error", lambda *system: 0.0)
+    monkeypatch.setattr(
+        temperature.sparse_linalg, "splu", lambda matrix, **options: FixedLU(np.eye(ny)[0])
+    )
+    grid = StripGrid(nx=64, ny=ny, depth=10.0)
+    field = solve_temperature(flat_profile(ny), 0.5, grid).values[::-1]
+    tail = [np.eye(ny)[0]]
+    for _ in range(56):
+        tail.append(G @ tail[-1])
+    assert np.max(tail[9]) < 1e-14 and np.max(tail[56]) < 1e-14 <= np.max(tail[55])
+    assert np.array_equal(field[:57], tail) and np.all(field[57:] == 0.0)
+
+
+def rolled_band(legs):
+    """A band as a sum of rolled diagonals, one leg at a time."""
+    return sum(np.roll(np.diag(coeffs), shift, axis=1) for shift, coeffs in legs)
+
+
+def eye_kron_system(psi, c, grid):
+    """Reference assembly: ``kron(sparse.eye(...), band)`` terms of the
+    strip's bands, one ``coo`` to ``csc`` conversion."""
+    bands, flux, back, flux_rhs = temperature._strip_bands(psi, c, grid)
+    nx, ny = grid.nx, grid.ny
+    terms = [(0, sparse.kron(sparse.eye(nx - 1, nx, k), band, "coo")) for k, band in bands.items()]
+    terms += [
+        ((nx - 1) * ny, sparse.kron(sparse.eye(1, nx, nx - 1 + k), band, "coo"))
+        for k, band in ((0, flux), (-1, np.diag(back)))
+    ]
+    row, col, data = (
+        np.concatenate(parts)
+        for parts in zip(*((t.row + start, t.col, t.data) for start, t in terms))
+    )
+    rhs = np.zeros(nx * ny)
+    rhs[(nx - 1) * ny :] = flux_rhs
+    return sparse.csc_matrix((data, (row, col)), shape=(nx * ny, nx * ny)), rhs
+
+
+@pytest.mark.parametrize("psi", [cosine_front(64), flat_profile(64)], ids=["curved", "flat"])
+def test_assembly_is_bit_identical_to_the_eye_kron_reference(monkeypatch, psi):
+    """Dense shift matrices and index-assigned bands give the CSC arrays and
+    right-hand side of ``sparse.eye`` shifts and rolled diagonals."""
+    grid = StripGrid(nx=200, ny=64, depth=40.0)
+    matrix, rhs = assemble_system(psi, 0.5, grid)
+    monkeypatch.setattr(temperature, "_periodic_band", rolled_band)
+    reference, reference_rhs = eye_kron_system(psi, 0.5, grid)
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(matrix, name), getattr(reference, name))
+    assert np.array_equal(rhs, reference_rhs)
+
+
+@pytest.mark.parametrize("n", [4, 8, 64])
+def test_periodic_band_sums_colliding_legs_like_rolled_diagonals(n):
+    """At n = 4 the legs at shifts 2 and -2 land on the same entries; they
+    add in leg order, as the rolled sum does."""
+    rng = np.random.default_rng(n)
+    legs = [(shift, rng.standard_normal(n)) for shift in (0, 1, -1, 2, -2)]
+    assert np.array_equal(temperature._periodic_band(legs), rolled_band(legs))
+
+
 def test_deep_tail_of_b4_wave_checks_only_its_16_front_rows(monkeypatch, caplog):
     """Arrhenius B = 4 on its auto 5632 x 64 grid returns more than 1500 rows
     per solve, and every near-front check still assembles 16 rows."""
