@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import config_from_dict, load_config
-from .coupler import resolve_grid, solve_traveling_wave
+from .coupler import solve_traveling_wave
 from .diagnostics import run_all
 from .errors import ConfigurationError, FrontwaveError
 from .io import (
@@ -72,15 +72,21 @@ def _configure_logging():
     )
 
 
+def _solve(config, echo, outdir):
+    """Solve one case; a solver error writes its failure manifest to
+    ``outdir`` and propagates."""
+    try:
+        return solve_traveling_wave(config)
+    except FrontwaveError as exc:
+        write_failure_manifest(outdir, echo, exc)
+        raise
+
+
 def cmd_solve(args) -> int:
     config, echo = load_config(args.config)
     outdir = Path(args.out)
     start = time.perf_counter()
-    try:
-        wave = solve_traveling_wave(config)
-    except FrontwaveError as exc:
-        write_failure_manifest(outdir, echo, exc)
-        raise
+    wave = _solve(config, echo, outdir)
     elapsed = time.perf_counter() - start
     write_solution(outdir, wave, echo)
     print(
@@ -145,10 +151,9 @@ def _apply_override(doc: dict, name: str, value):
 def _sweep_case(name, value, config, doc, case_dir):
     """Solve one sweep row in its own directory; returns its sweep.csv row."""
     try:
-        wave = solve_traveling_wave(config)
+        wave = _solve(config, doc, case_dir)
     except FrontwaveError as exc:
         logger.error("%s=%s failed: %s", name, value, exc)
-        write_failure_manifest(case_dir, doc, exc)
         return name, value, None, None, None, exc.verdict
     write_solution(case_dir, wave, doc)
     ok = wave.report is None or wave.report.passed
@@ -196,31 +201,20 @@ def cmd_convergence(args) -> int:
     if args.levels < 2:
         raise ConfigurationError("convergence needs at least two levels")
     outdir = Path(args.out)
+    case = replace(config, run_diagnostics=False)
     waves = []
-    try:
-        base = resolve_grid(config)
-        for level in range(args.levels):
-            case = replace(
-                config,
-                nx=base.nx << level,
-                ny=base.ny << level,
-                depth=base.depth,
-                run_diagnostics=False,
-            )
-            start = time.perf_counter()
-            wave = solve_traveling_wave(case)
-            waves.append(wave)
-            logger.info(
-                "level %d (%dx%d): speed %.12g in %.1f s",
-                level,
-                case.nx,
-                case.ny,
-                wave.speed,
-                time.perf_counter() - start,
-            )
-    except FrontwaveError as exc:
-        write_failure_manifest(outdir, echo, exc)
-        raise
+    for level in range(args.levels):
+        if waves:
+            # Level 0 sized the grid as ``solve`` would; each level doubles it.
+            grid = waves[-1].grid
+            case = replace(case, nx=2 * grid.nx, ny=2 * grid.ny, depth=grid.depth)
+        start = time.perf_counter()
+        wave = _solve(case, echo, outdir)
+        waves.append(wave)
+        logger.info(
+            "level %d (%dx%d): speed %.12g in %.1f s",
+            level, wave.grid.nx, wave.grid.ny, wave.speed, time.perf_counter() - start,
+        )
 
     speeds = [wave.speed for wave in waves]
     r_lo, r_hi = config.rate.bounds

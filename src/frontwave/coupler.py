@@ -278,9 +278,10 @@ def solve_at_truncation(
         NonConvergenceError: on a non-finite update or an exhausted budget,
             naming the stage ``n``; the error's history carries the recent
             ``(speed, update)`` pairs so a limit cycle's candidates are all
-            visible.  A failed front Newton solve is re-raised naming the
-            stage and sweep, with the front solve's own iterations, residual
-            and history.
+            visible.
+        FrontwaveError: any error of a sweep, re-raised as its own type with
+            its attributes, naming the stage and sweep; a field that cannot be
+            allocated becomes a ``ConfigurationError``.
     """
     kinetics = truncate_kinetics(config.kinetics, n)
     rate = config.rate
@@ -292,12 +293,15 @@ def solve_at_truncation(
     for sweep in range(1, _MAX_SWEEPS + 1):
         try:
             new = _picard_step(state, kinetics, rate, grid)
-        except NonConvergenceError as exc:
-            raise NonConvergenceError(
+        except MemoryError as exc:
+            raise ConfigurationError(
+                f"stage n={n}, sweep {sweep}: the {grid.nx + 1} x {grid.ny} field "
+                "cannot be allocated; give grid nx and depth"
+            ) from exc
+        except FrontwaveError as exc:
+            raise type(exc)(
                 f"stage n={n}, sweep {sweep}: {exc}",
-                iterations=exc.iterations,
-                residual=exc.residual,
-                history=exc.history,
+                exc.iterations, exc.residual, exc.history,
             ) from exc
         delta = float(
             np.max(np.abs(new.psi.values - state.psi.values))

@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,15 @@ import scipy.linalg
 import frontwave
 import frontwave.cli as cli
 import frontwave.coupler as coupler
-from frontwave import LinearSolverError, TemperatureField
+import frontwave.temperature as temperature
+from frontwave import (
+    ConfigurationError,
+    DiagnosticsReport,
+    FrontwaveError,
+    LinearSolverError,
+    NonConvergenceError,
+    TemperatureField,
+)
 from frontwave.cli import main
 from frontwave.io import TRACE_COLUMNS, read_columns
 
@@ -281,7 +290,167 @@ def test_negative_trace_is_numerical_failure_with_manifest(tmp_path, monkeypatch
     assert manifest["status"] == "failed"
     assert manifest["error"] == "FrontwaveError"
     assert manifest["exit_code"] == 2
-    assert "significantly negative" in manifest["reason"]
+    # Sweep 1's solve makes the trace negative; sweep 2's forcing rejects it.
+    assert manifest["reason"] == (
+        "stage n=4, sweep 2: trace temperatures are significantly negative"
+    )
+
+
+SWEEP_ERRORS = {
+    "non-convergence": (
+        "relax_front",
+        NonConvergenceError("front stuck", iterations=5, residual=0.25,
+                            history=[1.0, 0.5, 0.25]),
+    ),
+    "linear-solver": (
+        "solve_temperature", LinearSolverError("check missed", residual=3e-9)
+    ),
+    "numerical": ("solve_temperature", FrontwaveError("field went wrong")),
+    "configuration": (
+        "solve_temperature", ConfigurationError("cell number too large")
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_ERRORS))
+def test_error_inside_a_sweep_keeps_its_type_and_names_stage_once(
+    tmp_path, monkeypatch, case
+):
+    name, error = SWEEP_ERRORS[case]
+    real = getattr(coupler, name)
+    calls = []
+
+    def fail_on_second_sweep(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise error
+        return real(*args)
+
+    monkeypatch.setattr(coupler, name, fail_on_second_sweep)
+    config, echo = cli.load_config(write_config(tmp_path, FLAT_DOC))
+    outdir = tmp_path / "run"
+    with pytest.raises(type(error)) as excinfo:
+        cli._solve(config, echo, outdir)
+    raised = excinfo.value
+    assert type(raised) is type(error)
+    assert str(raised) == f"stage n=4, sweep 2: {error}"
+    for attr in ("exit_code", "verdict", "iterations", "residual", "history"):
+        assert getattr(raised, attr) == getattr(error, attr)
+    manifest = read_manifest(outdir)
+    assert manifest["error"] == type(error).__name__
+    assert manifest["exit_code"] == error.exit_code
+    assert manifest["reason"] == str(raised)
+    assert manifest["reason"].count("stage n=") == 1
+    assert manifest.get("iterations") == error.iterations
+    assert manifest.get("residual") == error.residual
+    assert manifest.get("history") == (
+        None if error.history is None else list(error.history)
+    )
+
+    calls.clear()
+    code = main(["solve", "--config", write_config(tmp_path, FLAT_DOC),
+                 "--out", str(tmp_path / "again")])
+    assert code == error.exit_code
+
+
+def refuse_allocation(*args):
+    raise MemoryError("cannot allocate the field")
+
+
+def test_allocation_failure_is_configuration_error_with_manifest(
+    tmp_path, monkeypatch, caplog
+):
+    monkeypatch.setattr(coupler, "solve_temperature", refuse_allocation)
+    outdir = tmp_path / "run"
+    code = main(["solve", "--config", write_config(tmp_path, FLAT_DOC),
+                 "--out", str(outdir)])
+    assert code == 1
+    manifest = read_manifest(outdir)
+    assert manifest["status"] == "failed"
+    assert manifest["error"] == "ConfigurationError"
+    assert manifest["exit_code"] == 1
+    assert manifest["reason"] == (
+        "stage n=4, sweep 1: the 513 x 8 field cannot be allocated; "
+        "give grid nx and depth"
+    )
+    assert manifest["reason"] in caplog.text
+
+
+def test_sweep_row_that_cannot_allocate_is_configuration_error(
+    tmp_path, capsys, monkeypatch
+):
+    real = coupler.solve_temperature
+
+    def refuse_large(psi, c, grid):
+        return refuse_allocation() if grid.nx == 512 else real(psi, c, grid)
+
+    monkeypatch.setattr(coupler, "solve_temperature", refuse_large)
+    outdir = tmp_path / "sweep"
+    code = main(["sweep", "--config", write_config(tmp_path, FLAT_DOC),
+                 "--axis", "grid.nx=512,256", "--out", str(outdir)])
+    assert code == 3
+    assert "grid.nx=512: solve failed [configuration-error]" in (
+        capsys.readouterr().out
+    )
+    table = read_table(outdir / "sweep.csv")
+    assert table["verdict"] == ["configuration-error", "pass"]
+    failed = read_manifest(outdir / "case_000")
+    assert failed["error"] == "ConfigurationError"
+    assert "cannot be allocated" in failed["reason"]
+    assert read_manifest(outdir / "case_001")["status"] == "converged"
+
+
+def test_failed_trace_factorization_is_linear_solver_error(tmp_path, monkeypatch):
+    def singular(matrix):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(temperature.sparse_linalg, "splu", singular)
+    outdir = tmp_path / "run"
+    code = main(["solve", "--config", write_config(tmp_path, FLAT_DOC),
+                 "--out", str(outdir)])
+    assert code == 2
+    manifest = read_manifest(outdir)
+    assert manifest["error"] == "LinearSolverError"
+    assert manifest["exit_code"] == 2
+    assert manifest["reason"] == (
+        "stage n=4, sweep 1: sparse factorization failed: "
+        "Factor is exactly singular"
+    )
+
+
+def test_vanishing_kinetics_integral_is_configuration_error(tmp_path):
+    # K is zero on all of [0, 1]: no wave exists whatever the grid.
+    doc = dict(FLAT_DOC, kinetics={"type": "tabulated",
+                                   "points": [[0, 0], [1, 0], [2, 1]]})
+    outdir = tmp_path / "run"
+    code = main(["solve", "--config", write_config(tmp_path, doc),
+                 "--out", str(outdir)])
+    assert code == 1
+    manifest = read_manifest(outdir)
+    assert manifest["status"] == "failed"
+    assert manifest["error"] == "ConfigurationError"
+    assert manifest["exit_code"] == 1
+    assert "integral over the unit interval vanishes" in manifest["reason"]
+
+
+def test_solve_whose_checks_fail_exits_3(tmp_path, capsys, monkeypatch):
+    real = cli.solve_traveling_wave
+
+    def failing_report(config):
+        wave = real(config)
+        first, *rest = wave.report.checks
+        checks = (replace(first, passed=False), *rest)
+        return replace(wave, report=DiagnosticsReport(checks=checks))
+
+    monkeypatch.setattr(cli, "solve_traveling_wave", failing_report)
+    outdir = tmp_path / "run"
+    code = main(["solve", "--config", write_config(tmp_path, FLAT_DOC),
+                 "--out", str(outdir)])
+    assert code == 3
+    assert "CHECKS FAILED" in capsys.readouterr().out
+    manifest = read_manifest(outdir)
+    assert manifest["status"] == "converged"
+    assert manifest["diagnostics_passed"] is False
 
 
 def test_bad_log_level_is_config_error(tmp_path, monkeypatch):
@@ -381,6 +550,23 @@ def test_floor_bound_stage_budget_is_nonconvergence_naming_the_floor(
         f"last stage tried n=8388608, floor 1/n = {2.0 ** -23:.3g}, "
         f"K(1) = {math.exp(-50.0):.3g}"
     )
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 9: a wave that settles at its floor's own speed "
+    "must fail by name with exit 2; today it stops at 2^-23 and exits 3",
+)
+def test_wave_settled_at_its_floor_speed_fails_by_name(tmp_path):
+    doc = dict(FLAT_DOC, kinetics={"type": "arrhenius", "prefactor": 1.0,
+                                   "activation": 15.0},
+               grid={"ny": 8, "nx": 256, "depth": 40.0})
+    outdir = tmp_path / "run"
+    code = main(["solve", "--config", write_config(tmp_path, doc),
+                 "--out", str(outdir)])
+    assert code == 2
+    assert read_manifest(outdir)["status"] == "failed"
 
 
 def test_activation_sweep_parallel(tmp_path, capsys):

@@ -272,6 +272,23 @@ def test_solve_at_truncation_reports_nonconvergence_history(monkeypatch):
     assert np.isfinite(speed) and np.isfinite(update)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=NonConvergenceError,
+    reason="ROADMAP item 4: this strong-feedback front exists, but the front "
+    "Newton solve sticks on sweep 2 of stage n=1",
+)
+def test_strong_feedback_wave_converges_and_passes_its_checks():
+    config = flat_like(
+        kinetics=ArrheniusKinetics(prefactor=300.0, activation=3.0),
+        rate=PiecewiseConstantRate(edges=(0.0, 0.5), values=(0.5, 1.5)),
+        ny=32,
+        nx=None,
+        depth=None,
+    )
+    assert solve_traveling_wave(config).report.passed
+
+
 def test_stage_retries_neither_outer_nor_front_failures(monkeypatch):
     striated = dict(
         rate=PiecewiseConstantRate(edges=(0.0, 0.5), values=(0.5, 1.5)),
