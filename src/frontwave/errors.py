@@ -33,9 +33,9 @@ class ConfigurationError(FrontwaveError):
 
 
 class LinearSolverError(FrontwaveError):
-    """A temperature solve failed: its trace factorization failed, or its
-    solvent or its 16 front rows failed their 1e-12 check (``residual``
-    holds the failing value)."""
+    """A temperature solve failed: a cyclic-reduction step or its trace
+    factorization met a singular matrix, or its solvent or its 16 front rows
+    failed their 1e-12 check (``residual`` holds the failing value)."""
 
     verdict = "linear-solver-failure"
 

@@ -1,10 +1,10 @@
 """Artifact output and re-loading.
 
 A finished run produces a directory with ``front.csv``, ``trace.csv``,
-``field.dat``, ``diagnostics.json`` (when checks ran), and ``manifest.json``
+``field.npy``, ``diagnostics.json`` (when checks ran), and ``manifest.json``
 tying the pieces together with the configuration echo and the continuation
-history.  All floating-point values are written with 17 significant digits so
-they round-trip exactly.
+history.  The field is a float64 ``.npy`` array on the manifest's grid, and
+the CSV and JSON floats carry 17 significant digits, so all round-trip exactly.
 """
 from __future__ import annotations
 
@@ -31,14 +31,10 @@ __all__ = [
     "load_wave",
 ]
 
-MANIFEST_FORMAT = "frontwave-manifest-v2"
+MANIFEST_FORMAT = "frontwave-manifest-v3"
 
 FRONT_COLUMNS = ("y", "psi", "psi_y", "forcing", "residual")
 TRACE_COLUMNS = ("y", "theta", "reaction")
-
-
-def _fmt(value) -> str:
-    return f"{float(value):.17g}"
 
 
 def write_rows_csv(path, header, rows):
@@ -54,7 +50,7 @@ def write_rows_csv(path, header, rows):
             elif isinstance(cell, (int, np.integer)):
                 cells.append(str(int(cell)))
             else:
-                cells.append(_fmt(cell))
+                cells.append(f"{float(cell):.17g}")
         lines.append(",".join(cells))
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -99,14 +95,9 @@ def write_solution(outdir, wave: TravelingWave, config_echo: dict):
         outdir / "trace.csv", TRACE_COLUMNS, zip(y, wave.theta, reaction)
     )
 
-    # The text of np.savetxt(fmt="%.17g"), from one format call.
-    row = " ".join(["%.17g"] * grid.ny) + "\n"
-    (outdir / "field.dat").write_text(
-        f"{grid.nx} {grid.ny} {_fmt(grid.depth)}\n"
-        + row * (grid.nx + 1) % tuple(wave.field.values.ravel().tolist())
-    )
+    np.save(outdir / "field.npy", wave.field.values)
 
-    artifacts = ["front.csv", "trace.csv", "field.dat"]
+    artifacts = ["front.csv", "trace.csv", "field.npy"]
     diagnostics_passed = None
     if wave.report is not None:
         write_diagnostics(outdir, wave.report)
@@ -165,22 +156,17 @@ def read_columns(path, expected_header) -> dict:
     return {name: data[:, k] for k, name in enumerate(header)}
 
 
-def read_field(path):
-    """Read ``field.dat`` back as ``(grid, values)``."""
-    path = Path(path)
-    with path.open() as handle:
-        parts = handle.readline().split()
-    if len(parts) != 3:
-        raise ConfigurationError(f"{path}: malformed header")
-    nx, ny, depth = int(parts[0]), int(parts[1]), float(parts[2])
-    values = np.loadtxt(path, skiprows=1, ndmin=2)
+def read_field(path) -> np.ndarray:
+    """Read ``field.npy`` back; anything but a 2-D float64 array (a text or
+    pickle file included) is a ``ConfigurationError``."""
     try:
-        grid = StripGrid(nx=nx, ny=ny, depth=depth)
-    except ValueError as exc:
-        raise ConfigurationError(f"{path}: {exc}") from None
-    if values.shape != (nx + 1, ny):
-        raise ConfigurationError(f"{path}: data shape {values.shape} mismatch")
-    return grid, values
+        values = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError) as exc:
+        raise ConfigurationError(f"{path}: not a .npy array ({exc})") from None
+    if not (isinstance(values, np.ndarray) and values.ndim == 2
+            and values.dtype == np.float64):
+        raise ConfigurationError(f"{path}: not a 2-D float64 array")
+    return values
 
 
 def load_wave(outdir):
@@ -195,7 +181,10 @@ def load_wave(outdir):
     if not isinstance(manifest, dict):
         raise ConfigurationError(f"{manifest_path}: top level must be an object")
     if manifest.get("format") != MANIFEST_FORMAT:
-        raise ConfigurationError(f"{manifest_path}: unrecognized manifest format")
+        raise ConfigurationError(
+            f"{manifest_path}: unrecognized manifest format {manifest.get('format')!r}"
+            f" (this version reads {MANIFEST_FORMAT}); re-run `frontwave solve`"
+        )
     if manifest.get("status") != "converged":
         raise ConfigurationError(
             f"{manifest_path}: stored run did not converge; nothing to diagnose"
@@ -219,9 +208,11 @@ def load_wave(outdir):
 
     front_cols = read_columns(outdir / "front.csv", FRONT_COLUMNS)
     trace_cols = read_columns(outdir / "trace.csv", TRACE_COLUMNS)
-    field_grid, values = read_field(outdir / "field.dat")
-    if field_grid != grid:
-        raise ConfigurationError("field.dat does not match the manifest grid")
+    values = read_field(outdir / "field.npy")
+    if values.shape != (grid.nx + 1, grid.ny):
+        raise ConfigurationError(
+            f"field.npy shape {values.shape} does not match the manifest grid"
+        )
 
     wave = TravelingWave(
         speed=speed,

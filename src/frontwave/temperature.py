@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import linalg, sparse
+from scipy import sparse
 from scipy.sparse import linalg as sparse_linalg
 
 from .errors import ConfigurationError, LinearSolverError
@@ -300,17 +300,19 @@ def _backward_error(matrix, solution, rhs) -> float:
 def _solvent(W: np.ndarray, D: np.ndarray, U: np.ndarray) -> np.ndarray:
     """Minimal solvent ``G`` of ``W + D G + U G^2 = 0`` by cyclic reduction
     (Bini & Meini, Numer. Algorithms 51, 2009), quadratically convergent
-    with ratio ``rho(G)``.  A ``G`` left inexact at the step cap fails the
+    with ratio ``rho(G)``; each step inverts ``A1`` with numpy, which releases
+    the interpreter lock.  A ``G`` left inexact at the step cap fails the
     solve's solvent check."""
     A0, A1, A2, hat = W, D, U, D
     for _ in range(64):  # about log2(35 / (c * hx)) steps are taken
         if np.max(np.abs(A0)) <= 1e-15 * np.max(np.abs(A1)):
             break
-        K0, K2 = np.hsplit(linalg.lu_solve(linalg.lu_factor(A1), np.hstack([A0, A2])), 2)
+        inverse = np.linalg.inv(A1)
+        K0, K2 = inverse @ A0, inverse @ A2
         A1 = A1 - A0 @ K2 - A2 @ K0
         hat = hat - A2 @ K0
         A0, A2 = -A0 @ K0, -A2 @ K2
-    return -linalg.lu_solve(linalg.lu_factor(hat), W)
+    return -np.linalg.solve(hat, W)
 
 
 def _solvent_residual(W, D, U, G) -> float:
@@ -348,18 +350,19 @@ def solve_temperature(psi: FrontProfile, c: float, grid: StripGrid) -> Temperatu
     Raises:
         ValueError: on a nonpositive or nonfinite speed.
         ConfigurationError: if ``c * hx`` exceeds 2, before any factorization.
-        LinearSolverError: if factorization fails, or either check is above
-            ``1e-12`` or not a number (the solvent check is tested first);
-            the error's ``residual`` is the failing value and its message
-            names the check.
+        LinearSolverError: if a reduction step or factorization fails, or
+            either check is above ``1e-12`` or not a number (the solvent
+            check is tested first); the error's ``residual`` is the failing
+            value and its message names the check.
     """
     bands, flux, back, flux_rhs = _strip_bands(psi, c, grid)
     U, D, W = bands[-1], bands[0], bands[1]
     with _BLAS_PIN:
-        G = _solvent(W, D, U)
-        trace_matrix = flux + back[:, None] * G
         try:
-            lu = sparse_linalg.splu(sparse.csc_matrix(trace_matrix))
+            G = _solvent(W, D, U)
+            lu = sparse_linalg.splu(sparse.csc_matrix(flux + back[:, None] * G))
+        except np.linalg.LinAlgError as exc:
+            raise LinearSolverError(f"cyclic reduction failed: {exc}") from exc
         except RuntimeError as exc:
             raise LinearSolverError(f"sparse factorization failed: {exc}") from exc
         # Double until a row from index 15 on is below the cut or the grid is full.

@@ -75,7 +75,7 @@ def test_solve_flat_succeeds(solved_run, capsys):
     assert manifest["status"] == "converged"
     assert abs(manifest["speed"] - math.exp(-1.0)) <= 5e-4
     assert manifest["diagnostics_passed"] is True
-    for name in ("front.csv", "trace.csv", "field.dat", "diagnostics.json"):
+    for name in ("front.csv", "trace.csv", "field.npy", "diagnostics.json"):
         assert (outdir / name).is_file()
 
 
@@ -119,7 +119,7 @@ def test_diagnose_missing_field_file(solved_run, tmp_path):
     _, outdir = solved_run
     copy = tmp_path / "gutted"
     shutil.copytree(outdir, copy)
-    (copy / "field.dat").unlink()
+    (copy / "field.npy").unlink()
     assert main(["diagnose", "--in", str(copy)]) == 1
 
 
@@ -134,17 +134,34 @@ def test_diagnose_manifest_missing_key_is_config_error(solved_run, tmp_path, cap
     assert "missing or malformed entry ('stop_reason')" in caplog.text
 
 
-def test_diagnose_rejects_field_depth_that_differs_from_manifest(
+def test_diagnose_rejects_field_shape_that_differs_from_manifest(
     solved_run, tmp_path, caplog
 ):
     _, outdir = solved_run
     copy = tmp_path / "deepened"
     shutil.copytree(outdir, copy)
-    header, body = (copy / "field.dat").read_text().split("\n", 1)
-    assert header == "512 8 40"
-    (copy / "field.dat").write_text("512 8 400\n" + body)
+    values = np.load(copy / "field.npy")
+    assert values.shape == (513, 8)
+    np.save(copy / "field.npy", np.vstack([values, values]))
     assert main(["diagnose", "--in", str(copy)]) == 1
-    assert "field.dat does not match the manifest grid" in caplog.text
+    assert "field.npy shape (1026, 8) does not match the manifest grid" in caplog.text
+
+
+def test_diagnose_refuses_a_v2_run_directory(solved_run, tmp_path, caplog):
+    """Runs written before the field became ``field.npy`` hold ``field.dat``
+    and a v2 manifest."""
+    _, outdir = solved_run
+    copy = tmp_path / "v2"
+    shutil.copytree(outdir, copy)
+    values = np.load(copy / "field.npy")
+    (copy / "field.npy").unlink()
+    np.savetxt(copy / "field.dat", values, fmt="%.17g", header="512 8 40", comments="")
+    manifest = read_manifest(copy)
+    manifest["format"] = "frontwave-manifest-v2"
+    (copy / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["diagnose", "--in", str(copy)]) == 1
+    assert "unrecognized manifest format 'frontwave-manifest-v2'" in caplog.text
+    assert "re-run `frontwave solve`" in caplog.text
 
 
 def test_diagnose_missing_directory(tmp_path):
@@ -415,6 +432,22 @@ def test_failed_trace_factorization_is_linear_solver_error(tmp_path, monkeypatch
     assert manifest["reason"] == (
         "stage n=4, sweep 1: sparse factorization failed: "
         "Factor is exactly singular"
+    )
+
+
+def test_singular_cyclic_reduction_block_is_linear_solver_error(tmp_path, monkeypatch):
+    def singular(matrix):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(temperature.np.linalg, "inv", singular)
+    outdir = tmp_path / "run"
+    code = main(["solve", "--config", write_config(tmp_path, FLAT_DOC),
+                 "--out", str(outdir)])
+    assert code == 2
+    manifest = read_manifest(outdir)
+    assert manifest["error"] == "LinearSolverError"
+    assert manifest["reason"] == (
+        "stage n=4, sweep 1: cyclic reduction failed: Singular matrix"
     )
 
 

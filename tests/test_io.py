@@ -40,7 +40,7 @@ def test_artifact_set_complete(rundir):
     assert manifest["diagnostics_passed"] is True
     assert manifest["config"] == FLAT_ECHO
     assert set(manifest["artifacts"]) == {
-        "front.csv", "trace.csv", "field.dat", "diagnostics.json",
+        "front.csv", "trace.csv", "field.npy", "diagnostics.json",
     }
     for name in manifest["artifacts"]:
         assert (rundir / name).is_file()
@@ -79,21 +79,17 @@ def test_front_csv_columns_are_consistent(rundir, flat_wave):
 
 
 @pytest.mark.parametrize("name", ["flat_wave", "striated_wave"])
-def test_field_file_is_the_savetxt_text_and_reads_back_exactly(name, request, tmp_path):
+def test_field_file_is_float64_npy_and_reads_back_exactly(name, request, tmp_path):
     """``flat``'s tail is longer than its grid; ``striated``'s ends in zero
-    rows.  Either way ``field.dat`` holds the text ``np.savetxt`` writes."""
+    rows.  Either way ``field.npy`` reloads bit for bit."""
     wave = request.getfixturevalue(name)
     values, grid = wave.field.values, wave.grid
     assert np.all(values[0] != 0.0) if name == "flat_wave" else np.all(values[0] == 0.0)
     write_solution(tmp_path / "run", wave, FLAT_ECHO)
-    np.savetxt(
-        tmp_path / "reference.dat", values, fmt="%.17g",
-        header=f"{grid.nx} {grid.ny} {grid.depth:.17g}", comments="",
-    )
-    field_file = tmp_path / "run" / "field.dat"
-    assert field_file.read_bytes() == (tmp_path / "reference.dat").read_bytes()
-    read_grid, read_values = read_field(field_file)
-    assert read_grid == grid and np.array_equal(read_values, values)
+    read_values = read_field(tmp_path / "run" / "field.npy")
+    assert read_values.dtype == np.float64
+    assert read_values.shape == (grid.nx + 1, grid.ny)
+    assert read_values.tobytes() == values.tobytes()
 
 
 def test_read_columns_rejects_wrong_header(rundir):
@@ -102,18 +98,17 @@ def test_read_columns_rejects_wrong_header(rundir):
 
 
 def test_read_field_rejects_malformed_files(tmp_path):
-    path = tmp_path / "field.dat"
-    path.write_text("4 8\n")
-    with pytest.raises(ConfigurationError):
-        read_field(path)
-
-    np.savetxt(path, np.zeros((3, 4)), header="8 4 10.0", comments="")
-    with pytest.raises(ConfigurationError):
-        read_field(path)
-
-    np.savetxt(path, np.zeros((3, 4)), header="32 16 10.0", comments="")
-    with pytest.raises(ConfigurationError):
-        read_field(path)
+    text = tmp_path / "text.npy"
+    np.savetxt(text, np.zeros((3, 4)))
+    pickled = tmp_path / "pickled.npy"
+    np.save(pickled, np.array([{"field": 1.0}, None], dtype=object))
+    flat = tmp_path / "flat.npy"
+    np.save(flat, np.zeros(4))
+    integers = tmp_path / "integers.npy"
+    np.save(integers, np.zeros((3, 4), dtype=np.int64))
+    for path in (text, pickled, flat, integers):
+        with pytest.raises(ConfigurationError, match=path.name):
+            read_field(path)
 
 
 def test_failure_manifest_blocks_reload(tmp_path):
@@ -162,7 +157,7 @@ def test_manifest_missing_key_is_configuration_error(rundir, tmp_path, path):
     for part in parents:
         node = node[int(part)] if isinstance(node, list) else node[part]
     del node[key]
-    for name in ("front.csv", "trace.csv", "field.dat"):
+    for name in ("front.csv", "trace.csv", "field.npy"):
         (tmp_path / name).write_bytes((rundir / name).read_bytes())
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(ConfigurationError, match="missing or malformed"):
@@ -176,7 +171,7 @@ def test_stage_facts_are_read_from_the_stages(rundir, tmp_path):
     last = manifest["stages"][-1]
     manifest["final_truncation"] = 3 * last["truncation"]
     manifest["floor_inactive"] = not last["floor_inactive"]
-    for name in ("front.csv", "trace.csv", "field.dat"):
+    for name in ("front.csv", "trace.csv", "field.npy"):
         (tmp_path / name).write_bytes((rundir / name).read_bytes())
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     wave, _, _ = load_wave(tmp_path)

@@ -369,6 +369,30 @@ def test_tail_at_the_row_floor_passes_both_checks(monkeypatch, caplog):
     assert np.max(np.abs(field.values - reference)) <= 1e-12 * np.max(np.abs(reference))
 
 
+def test_solvent_matches_the_stable_eigenpairs_of_the_companion_matrix():
+    """Independent of cyclic reduction: the minimal solvent of
+    ``W + D G + U G^2 = 0`` is ``V diag(lambda) V^{-1}`` over the ny
+    eigenpairs inside the unit disk of the companion linearization
+    ``[[0, I], [-U^{-1} W, -U^{-1} D]]``, whose eigenvectors are
+    ``[v; lambda v]``."""
+    ny = 8
+    bands, *_ = temperature._strip_bands(cosine_front(ny), 0.5, PIN_GRID)
+    U, D, W = bands[-1], bands[0], bands[1]
+    companion = np.block([
+        [np.zeros((ny, ny)), np.eye(ny)],
+        [-np.linalg.solve(U, W), -np.linalg.solve(U, D)],
+    ])
+    eigenvalues, eigenvectors = np.linalg.eig(companion)
+    order = np.argsort(np.abs(eigenvalues))
+    # ny moduli near 0.94 and below, then the constant mode's 1.
+    assert np.abs(eigenvalues[order[ny - 1]]) < 0.95 < np.abs(eigenvalues[order[ny]])
+    stable, V = eigenvalues[order[:ny]], eigenvectors[:ny, order[:ny]]
+    reference = (V * stable) @ np.linalg.inv(V)
+    assert np.abs(reference.imag).max() <= 1e-14
+    G = temperature._solvent(W, D, U)
+    assert np.abs(G - reference.real).max() <= 1e-12 * np.abs(reference.real).max()
+
+
 def sequential_tail(psi, c, grid):
     """The tail by its row rule, one ``G @ v`` product per row: from the
     trace, rows until the first at index 15 or more whose max is below
