@@ -90,18 +90,25 @@ class Forcing:
         object.__setattr__(self, "values", arr)
 
 
+def _roll(arr: np.ndarray, shift: int) -> np.ndarray:
+    """``np.roll(arr, shift)`` of a 1-D array by two slices, for
+    ``0 < |shift| < arr.size``; on ny-vectors ``np.roll``'s generic setup
+    costs several times the copy."""
+    return np.concatenate((arr[-shift:], arr[:-shift]))
+
+
 def _stencil(arr: np.ndarray):
     """Periodic differences at spacing ``h = 1/n``, shared by every front
     operator: ``(forward slope, centered slope, centered second difference,
     conservative curvature)``."""
     h = 1.0 / arr.size
-    up = np.roll(arr, -1)
-    down = np.roll(arr, 1)
+    up = _roll(arr, -1)
+    down = _roll(arr, 1)
     dplus = (up - arr) / h
     angle = np.arctan(dplus)
     slope = (up - down) / (2.0 * h)
     second = (up - 2.0 * arr + down) / (h * h)
-    return dplus, slope, second, (angle - np.roll(angle, 1)) / h
+    return dplus, slope, second, (angle - _roll(angle, 1)) / h
 
 
 def front_derivatives(psi):
@@ -162,10 +169,10 @@ def _newton_step(H, equations, dplus, slope, arc):
     residual and the ``c`` column; node 0's row, wrapping to 1 and n-1, fixes ``dc``."""
     h = 1.0 / H.size
     flux = 1.0 / ((1.0 + dplus * dplus) * h * h)
-    flux_down = np.roll(flux, 1)
+    flux_down = _roll(flux, 1)
     arc_term = H * slope / (2.0 * h * arc)
     up, down = flux - arc_term, flux_down + arc_term
-    band = np.stack([up[:-1], -(flux + flux_down)[1:], np.roll(down, -2)[:-1]])
+    band = np.stack([up[:-1], -(flux + flux_down)[1:], _roll(down, -2)[:-1]])
     rhs = np.column_stack([-equations[1:], np.ones(H.size - 1)])
     sol = linalg.solve_banded((1, 1), band, rhs)
     wrap = up[0] * sol[0] + down[0] * sol[-1]

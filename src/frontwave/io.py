@@ -9,6 +9,7 @@ the CSV and JSON floats carry 17 significant digits, so all round-trip exactly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
@@ -45,7 +46,7 @@ def write_rows_csv(path, header, rows):
         for cell in row:
             if isinstance(cell, str):
                 cells.append(cell)
-            elif cell is None or (isinstance(cell, float) and not np.isfinite(cell)):
+            elif cell is None or (isinstance(cell, float) and not math.isfinite(cell)):
                 cells.append("")
             elif isinstance(cell, (int, np.integer)):
                 cells.append(str(int(cell)))
@@ -62,7 +63,7 @@ def _json_safe(value):
         return {key: _json_safe(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
         return [_json_safe(item) for item in value]
-    if isinstance(value, float) and not np.isfinite(value):
+    if isinstance(value, float) and not math.isfinite(value):
         return None
     return value
 

@@ -23,9 +23,10 @@ lines all hold the same bands, so the solve needs one ``ny x ny`` solvent
 ``G`` (``solve_temperature``), and the rows behind the trace are its images
 under powers of ``G``, built by doubling; ``depth`` sets only ``hx`` and the
 rows shown.
-``assemble_system`` builds, from ``kron(X-offset, Y-band)`` terms, the
-operator of a finite strip with ``v = 0`` at its cold end; each solve checks
-its 16 front rows against it and its solvent against the ``ny x ny`` bands.
+``assemble_system`` builds the operator of a finite strip with ``v = 0`` at
+its cold end by repeating each band's nonzeros over the block rows it
+occupies; each solve checks its 16 front rows against it and its solvent
+against the ``ny x ny`` bands.
 """
 from __future__ import annotations
 
@@ -41,7 +42,7 @@ from scipy import sparse
 from scipy.sparse import linalg as sparse_linalg
 
 from .errors import ConfigurationError, LinearSolverError
-from .front import FrontProfile, check_cell_count, front_derivatives
+from .front import FrontProfile, _roll, _stencil, check_cell_count, front_derivatives
 
 __all__ = [
     "StripGrid",
@@ -210,7 +211,7 @@ def _strip_bands(psi: FrontProfile, c: float, grid: StripGrid):
             f"advection cell number c*hx = {c * hx:.3g} exceeds 2; refine nx"
         )
 
-    slope, second = front_derivatives(psi)
+    _, slope, second, _ = _stencil(psi.values)
     d = 1.0 + slope * slope
     a = c + second
 
@@ -230,7 +231,7 @@ def _strip_bands(psi: FrontProfile, c: float, grid: StripGrid):
     # the ghost values of the y-neighbors enter through the mixed term and
     # widen the row to j +/- 2.
     mix = beta * slope / (2.0 * hy)
-    mix_up, mix_down = np.roll(mix, -1), np.roll(mix, 1)
+    mix_up, mix_down = _roll(mix, -1), _roll(mix, 1)
     flux = _periodic_band([
         (0, diag - m4 * (mix_up + mix_down)),
         (1, lap_y + w * mix),
@@ -238,7 +239,7 @@ def _strip_bands(psi: FrontProfile, c: float, grid: StripGrid):
         (2, m4 * mix_up),
         (-2, m4 * mix_down),
     ])
-    beta_dy = np.roll(beta, -1) - np.roll(beta, 1)
+    beta_dy = _roll(beta, -1) - _roll(beta, 1)
     return bands, flux, -2.0 * d / (hx * hx), -c * (w * beta + m4 * beta_dy)
 
 
@@ -256,30 +257,29 @@ def assemble_system(psi: FrontProfile, c: float, grid: StripGrid):
     """
     bands, flux, back, flux_rhs = _strip_bands(psi, c, grid)
     nx, ny = grid.nx, grid.ny
-    # Interior rows i = 1..nx-1, one Y-band per X-offset; eye() drops the
-    # leg of row 1 that reaches the Dirichlet row i = 0.  kron is asked for
-    # COO: by default it returns BSR, whose dense blocks store zeros.  It
-    # stores no zero of a dense shift or band, such as the mixed legs of a
-    # flat front.
-    blocks = [
-        (0, sparse.kron(np.eye(nx - 1, nx, k), band, "coo"))
-        for k, band in bands.items()
-    ]
-    flux_start = (nx - 1) * ny
-    blocks += [
-        (flux_start, sparse.kron(np.eye(1, nx, nx - 1 + k), band, "coo"))
-        for k, band in ((0, flux), (-1, np.diag(back)))
-    ]
-
+    # (band, X-offset, block rows) per term; block row r holds node i = r + 1.
+    # The interior rows 0..nx-2 hold one band per offset, less the leg of row
+    # 0 into the Dirichlet line, and the flux row nx-1 holds the flux band and
+    # the back leg.  Each band's nonzeros repeat over its block rows, so no
+    # zero is stored, such as the mixed legs of a flat front.
+    terms = [(band, k, np.arange(max(-k, 0), nx - 1)) for k, band in bands.items()]
+    flux_line = np.array([nx - 1])
+    terms += [(flux, 0, flux_line), (np.diag(back), -1, flux_line)]
+    parts = []
+    for band, k, blocks in terms:
+        band_row, band_col = np.nonzero(band)
+        starts = blocks[:, None] * ny
+        parts.append((
+            (starts + band_row).ravel(),
+            (starts + k * ny + band_col).ravel(),
+            np.tile(band[band_row, band_col], len(blocks)),
+        ))
+    row, col, data = (np.concatenate(part) for part in zip(*parts))
     # One conversion for all terms.
-    row, col, data = (
-        np.concatenate(parts)
-        for parts in zip(*((b.row + start, b.col, b.data) for start, b in blocks))
-    )
     matrix = sparse.csc_matrix((data, (row, col)), shape=(nx * ny, nx * ny))
 
     rhs = np.zeros(nx * ny)
-    rhs[flux_start:] = flux_rhs
+    rhs[(nx - 1) * ny :] = flux_rhs
     return matrix, rhs
 
 

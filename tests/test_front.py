@@ -17,7 +17,7 @@ from frontwave import (
     relax_front,
 )
 import frontwave.front as front
-from frontwave.front import _newton_step, _stencil
+from frontwave.front import _newton_step, _roll, _stencil
 
 TWO_PI = 2.0 * np.pi
 
@@ -57,6 +57,15 @@ def test_profile_is_readonly():
     profile = FrontProfile(np.zeros(16))
     with pytest.raises(ValueError):
         profile.values[0] = 1.0
+
+
+@pytest.mark.parametrize("size", [8, 32, 256])
+@pytest.mark.parametrize("shift", [-2, -1, 1, 2])
+def test_roll_equals_numpy_roll(size, shift):
+    arr = np.random.default_rng(size).standard_normal(size)
+    rolled = _roll(arr, shift)
+    assert rolled.dtype == arr.dtype
+    assert np.array_equal(rolled, np.roll(arr, shift))
 
 
 def test_derivatives_of_flat_profile_vanish():

@@ -202,12 +202,18 @@ def test_rows_csv_cell_formatting(tmp_path):
     path = tmp_path / "table.csv"
     write_rows_csv(
         path, ("a", "b", "c", "d", "e"),
-        [(np.pi / 3, float("nan"), None, "note", 7)],
+        [
+            (np.pi / 3, float("nan"), None, "note", 7),
+            (np.float64(np.pi / 3), np.float64(np.inf), np.float64(-np.inf),
+             np.float64(np.nan), np.int64(7)),
+        ],
     )
-    header, row = path.read_text().splitlines()
+    header, row, numpy_row = path.read_text().splitlines()
     assert header == "a,b,c,d,e"
     cells = row.split(",")
     assert float(cells[0]) == np.pi / 3
     assert cells[1] == "" and cells[2] == ""
     assert cells[3] == "note"
     assert cells[4] == "7"
+    # numpy scalars format as the Python numbers they hold.
+    assert numpy_row.split(",") == [cells[0], "", "", "", "7"]

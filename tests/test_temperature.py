@@ -491,11 +491,25 @@ def eye_kron_system(psi, c, grid):
     return sparse.csc_matrix((data, (row, col)), shape=(nx * ny, nx * ny)), rhs
 
 
-@pytest.mark.parametrize("psi", [cosine_front(64), flat_profile(64)], ids=["curved", "flat"])
-def test_assembly_is_bit_identical_to_the_eye_kron_reference(monkeypatch, psi):
-    """Dense shift matrices and index-assigned bands give the CSC arrays and
-    right-hand side of ``sparse.eye`` shifts and rolled diagonals."""
-    grid = StripGrid(nx=200, ny=64, depth=40.0)
+# A 200 x 64 strip, and the 16-row strips that solves check, at hx = 40 / 512.
+ASSEMBLY_GRIDS = {
+    "": StripGrid(nx=200, ny=64, depth=40.0),
+    "-strip16x8": StripGrid(16, 8, 16 * 40.0 / 512),
+    "-strip16x32": StripGrid(16, 32, 16 * 40.0 / 512),
+}
+ASSEMBLY_CASES = [
+    pytest.param(front, grid, id=name + suffix)
+    for suffix, grid in ASSEMBLY_GRIDS.items()
+    for front, name in ((cosine_front, "curved"), (flat_profile, "flat"))
+]
+
+
+@pytest.mark.parametrize("front, grid", ASSEMBLY_CASES)
+def test_assembly_is_bit_identical_to_the_eye_kron_reference(monkeypatch, front, grid):
+    """Index arrays repeated over block rows and index-assigned bands give the
+    CSC arrays and right-hand side of ``sparse.eye`` shifts and rolled
+    diagonals, on the full strip and on each solve's 16-row check strip."""
+    psi = front(grid.ny)
     matrix, rhs = assemble_system(psi, 0.5, grid)
     monkeypatch.setattr(temperature, "_periodic_band", rolled_band)
     reference, reference_rhs = eye_kron_system(psi, 0.5, grid)
