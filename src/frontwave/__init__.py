@@ -30,10 +30,8 @@ from .front import (
     Forcing,
     FrontProfile,
     compute_speed,
-    curvature_term,
     front_derivatives,
     front_residual,
-    normalize_front,
     relax_front,
 )
 from .kinetics import (

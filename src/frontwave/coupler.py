@@ -346,7 +346,6 @@ def solve_traveling_wave(config: SolverConfig) -> TravelingWave:
     rate = config.rate
     state = _initial_state(config, grid)
     n = _FIRST_TRUNCATION
-    prev_speed = None
     history = []
 
     k_hot = float(base.evaluate(1.0))
@@ -357,9 +356,7 @@ def solve_traveling_wave(config: SolverConfig) -> TravelingWave:
             continue
         state, updates = solve_at_truncation(config, n, grid=grid, start=state)
         floor_inactive = _floor_inactive(base, state.theta, n)
-        gap = (
-            abs(state.speed - prev_speed) if prev_speed is not None else np.inf
-        )
+        gap = abs(state.speed - history[-1].speed) if history else np.inf
         history.append(
             StageRecord(
                 truncation=n,
@@ -390,7 +387,6 @@ def solve_traveling_wave(config: SolverConfig) -> TravelingWave:
                 else "stage speeds settled with the floor still active"
             )
             break
-        prev_speed = state.speed
         n *= 2
     else:
         raise NonConvergenceError(

@@ -9,7 +9,7 @@ converged the iteration counters look.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -53,16 +53,6 @@ class CheckResult:
     bound: float
     tolerance: float
 
-    def as_dict(self):
-        return {
-            "name": self.name,
-            "statement": self.statement,
-            "passed": bool(self.passed),
-            "measured": float(self.measured),
-            "bound": float(self.bound),
-            "tolerance": float(self.tolerance),
-        }
-
 
 @dataclass(frozen=True)
 class DiagnosticsReport:
@@ -77,7 +67,7 @@ class DiagnosticsReport:
     def as_dict(self):
         return {
             "passed": self.passed,
-            "checks": [check.as_dict() for check in self.checks],
+            "checks": [asdict(check) for check in self.checks],
         }
 
     def summary(self) -> str:

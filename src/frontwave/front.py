@@ -24,10 +24,8 @@ __all__ = [
     "FrontProfile",
     "Forcing",
     "front_derivatives",
-    "curvature_term",
     "compute_speed",
     "front_residual",
-    "normalize_front",
     "relax_front",
 ]
 
@@ -73,10 +71,6 @@ class FrontProfile:
     def ny(self) -> int:
         return self.values.size
 
-    @property
-    def nodes(self) -> np.ndarray:
-        return np.arange(self.values.size) / self.values.size
-
 
 @dataclass(frozen=True, eq=False)
 class Forcing:
@@ -100,7 +94,9 @@ def _roll(arr: np.ndarray, shift: int) -> np.ndarray:
 def _stencil(arr: np.ndarray):
     """Periodic differences at spacing ``h = 1/n``, shared by every front
     operator: ``(forward slope, centered slope, centered second difference,
-    conservative curvature)``."""
+    conservative curvature)``.  The curvature differences the turning angles
+    ``arctan`` of the forward slopes, so its period mean telescopes to zero and
+    the front solve can drive the residual to round-off."""
     h = 1.0 / arr.size
     up = _roll(arr, -1)
     down = _roll(arr, 1)
@@ -120,17 +116,6 @@ def front_derivatives(psi):
     arr = _periodic_values(psi, "front profile", nonnegative=False)
     _, slope, second, _ = _stencil(arr)
     return slope, second
-
-
-def curvature_term(psi) -> np.ndarray:
-    """Curvature ``psi_yy / (1 + psi_y^2)`` in conservative difference form.
-
-    Uses the turning-angle flux ``arctan`` of the one-sided slopes, so the
-    discrete mean over a period vanishes identically (telescoping sum) -- the
-    property that lets the front solve drive the residual to round-off-limited
-    tolerances.
-    """
-    return _stencil(_periodic_values(psi, "front profile", nonnegative=False))[3]
 
 
 def compute_speed(forcing, psi) -> float:
@@ -155,12 +140,6 @@ def front_residual(psi, speed: float, forcing) -> np.ndarray:
         raise ValueError("forcing and front profile sizes differ")
     _, slope, _, curv = _stencil(arr)
     return curv + speed - H * np.sqrt(1.0 + slope * slope)
-
-
-def normalize_front(psi) -> FrontProfile:
-    """Shift the profile so its minimum sits exactly at zero."""
-    arr = _periodic_values(psi, "front profile", nonnegative=False)
-    return FrontProfile(arr - arr.min())
 
 
 def _newton_step(H, equations, dplus, slope, arc):
@@ -249,5 +228,5 @@ def relax_front(forcing, initial=None):
             history=history[-8:],
         )
 
-    profile = normalize_front(psi)
+    profile = FrontProfile(psi - psi.min())
     return compute_speed(H, profile), profile

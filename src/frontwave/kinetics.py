@@ -201,9 +201,7 @@ class TruncatedKinetics(KineticsModel):
             raise ValueError("floor must be positive and finite")
 
     def evaluate(self, u):
-        arr = _as_temperature(u)
-        out = np.maximum(self.base.evaluate(arr), self.floor)
-        return _match_shape(out, u)
+        return _match_shape(np.maximum(self.base.evaluate(u), self.floor), u)
 
     @property
     def supremum(self) -> float:

@@ -370,7 +370,7 @@ def test_final_stage_certifies_continuation(striated_wave):
 def test_self_consistency_at_convergence(striated_wave):
     wave = striated_wave
     kinetics = truncate_kinetics(wave.kinetics, wave.final_truncation)
-    y = wave.psi.nodes
+    y = wave.grid.y_nodes
     rebuilt = wave.rate.evaluate(y) * kinetics.evaluate(wave.theta)
     assert np.max(np.abs(wave.forcing.values - rebuilt)) <= 1e-8
     residual = front_residual(wave.psi, wave.speed, wave.forcing)

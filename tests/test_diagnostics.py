@@ -151,7 +151,10 @@ def test_striated_curvature_check_excludes_edges(striated_wave):
     assert check.measured < 0.0
 
 
-def test_report_serializes_and_summarizes(flat_wave):
+CHECK_KEYS = ["name", "statement", "passed", "measured", "bound", "tolerance"]
+
+
+def test_report_serializes_and_summarizes(flat_wave, striated_wave):
     report = run_all(flat_wave)
     payload = report.as_dict()
     text = json.dumps(payload)
@@ -171,6 +174,13 @@ def test_report_serializes_and_summarizes(flat_wave):
     bad_summary = run_all(failing).summary()
     assert "FAIL" in bad_summary
     assert "trace_integral" in bad_summary
+
+    for wave in (flat_wave, striated_wave, failing):
+        for entry in run_all(wave).as_dict()["checks"]:
+            assert list(entry) == CHECK_KEYS
+            assert entry["passed"] is True or entry["passed"] is False
+            for key in ("measured", "bound", "tolerance"):
+                assert type(entry[key]) is float, (entry["name"], key)
 
 
 def test_report_is_deterministic(flat_wave):

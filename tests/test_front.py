@@ -10,10 +10,8 @@ from frontwave import (
     FrontProfile,
     NonConvergenceError,
     compute_speed,
-    curvature_term,
     front_derivatives,
     front_residual,
-    normalize_front,
     relax_front,
 )
 import frontwave.front as front
@@ -24,6 +22,12 @@ TWO_PI = 2.0 * np.pi
 
 def nodes(n):
     return np.arange(n) / n
+
+
+def curvature(psi):
+    """Curvature term of the front equation: its residual at zero speed and
+    zero forcing."""
+    return front_residual(psi, 0.0, np.zeros(len(getattr(psi, "values", psi))))
 
 
 @pytest.fixture
@@ -94,12 +98,12 @@ def test_derivatives_are_odd_under_sign_flip():
 
 
 def test_curvature_of_flat_profile_vanishes():
-    assert np.array_equal(curvature_term(FrontProfile(np.zeros(16))), np.zeros(16))
+    assert np.array_equal(curvature(FrontProfile(np.zeros(16))), np.zeros(16))
 
 
 def test_curvature_mean_vanishes_identically():
     y = nodes(256)
-    curv = curvature_term(np.sin(TWO_PI * y) / TWO_PI)
+    curv = curvature(np.sin(TWO_PI * y) / TWO_PI)
     assert abs(np.mean(curv)) <= 1e-8
     # conservative form: the telescoping sum is zero to round-off, h^2 aside
     assert abs(np.mean(curv)) <= 1e-13
@@ -113,13 +117,13 @@ def test_curvature_mean_small_on_random_smooth_profiles():
         for k in range(1, 4):
             psi += rng.uniform(-0.3, 0.3) * np.cos(TWO_PI * k * y)
             psi += rng.uniform(-0.3, 0.3) * np.sin(TWO_PI * k * y)
-        assert abs(np.mean(curvature_term(psi - psi.min()))) <= 1e-13
+        assert abs(np.mean(curvature(psi - psi.min()))) <= 1e-13
 
 
 def test_curvature_value_at_trough():
     n = 2048
     y = nodes(n)
-    curv = curvature_term(FrontProfile(1.0 - np.cos(TWO_PI * y)))
+    curv = curvature(FrontProfile(1.0 - np.cos(TWO_PI * y)))
     assert curv[0] == pytest.approx(TWO_PI**2, abs=1e-2)
 
 
@@ -165,16 +169,17 @@ def test_residual_sign_convention():
     assert np.array_equal(residual, np.ones(32))
 
 
-def test_normalize_shifts_minimum_to_zero():
-    out = normalize_front(FrontProfile(np.full(16, 3.0)))
-    assert np.array_equal(out.values, np.zeros(16))
-
+def test_relax_returns_profile_with_minimum_exactly_zero():
     y = nodes(64)
-    out = normalize_front(1.0 + np.sin(TWO_PI * y))
-    assert out.values.min() == 0.0
+    forcing = Forcing(1.0 + 0.5 * np.sin(TWO_PI * y))
+    speed, cold = relax_front(forcing)
+    assert cold.values.min() == 0.0
+    assert speed == compute_speed(forcing, cold)
 
-    again = normalize_front(out)
-    assert np.array_equal(again.values, out.values)
+    warm_start = FrontProfile(1.0 + 0.2 * np.cos(TWO_PI * y))
+    speed, warm = relax_front(forcing, initial=warm_start)
+    assert warm.values.min() == 0.0
+    assert speed == compute_speed(forcing, warm)
 
 
 def test_relax_constant_forcing_gives_flat_front():
@@ -223,7 +228,7 @@ def test_newton_jacobian_matches_finite_differences():
     def equations(x):
         psi, c = x[:n], x[n]
         slope, _ = front_derivatives(psi)
-        return curvature_term(psi) + c - H * np.sqrt(1.0 + slope * slope)
+        return curvature(psi) + c - H * np.sqrt(1.0 + slope * slope)
 
     psi = 0.2 * np.cos(TWO_PI * y) + 0.05 * np.sin(2.0 * TWO_PI * y)
     x, eps = np.append(psi, 0.9), 1e-6

@@ -43,8 +43,18 @@ def test_constant_law_ignores_temperature():
     assert model.supremum == 0.5
 
 
-def test_evaluate_rejects_negative_and_non_finite_temperature():
-    model = ArrheniusKinetics(prefactor=1.0, activation=1.0)
+@pytest.mark.parametrize("truncated", [False, True], ids=["bare", "truncated"])
+@pytest.mark.parametrize(
+    "law",
+    [
+        ArrheniusKinetics(prefactor=1.0, activation=1.0),
+        ConstantKinetics(value=0.5),
+        TabulatedKinetics(points=((0.0, 0.0), (0.5, 1.0))),
+    ],
+    ids=["arrhenius", "constant", "tabulated"],
+)
+def test_evaluate_rejects_negative_and_non_finite_temperature(law, truncated):
+    model = truncate_kinetics(law, 4) if truncated else law
     with pytest.raises(ValueError):
         model.evaluate(-0.1)
     with pytest.raises(ValueError):
