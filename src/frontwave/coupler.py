@@ -6,10 +6,12 @@ The traveling wave is a fixed point of the loop
     temperature field -> trace,
 
 iterated undamped.  Because the reaction rate may vanish in the cold limit,
-the loop runs on a floored rate law ``max(K, 1/n)`` and doubles ``n`` until
-the floor no longer binds along the front and the speed stops moving between
-stages.  A stage whose sweeps diverge or run out of budget is not retried: it
-raises ``NonConvergenceError`` with its sweep history.
+the loop runs on a floored rate law ``max(K, 1/n)`` and doubles ``n``.  Only
+a stage whose floor is inactive along the front ends the continuation, when
+the truncation is a no-op or its speed is within ``outer_tol`` of the last
+stage's: a stage whose floor binds solves ``max(K, 1/n)``, not ``K``.  A stage
+whose sweeps diverge or run out of budget is not retried: it raises
+``NonConvergenceError`` with its sweep history.
 
 The wave quotes the last stage's fixed point (profile, trace, field).  No
 sweep follows it: only the forcing is rebuilt from that trace and the speed
@@ -326,11 +328,6 @@ def solve_at_truncation(
     )
 
 
-def _floor_inactive(base: KineticsModel, theta, n: int) -> bool:
-    """Whether the untruncated rate is at least ``1/n`` everywhere on the trace."""
-    return bool(np.min(base.evaluate(np.maximum(theta, 0.0))) >= 1.0 / n)
-
-
 def solve_traveling_wave(config: SolverConfig) -> TravelingWave:
     """Run the full truncation continuation and return the last stage's
     fixed point, its forcing and speed re-anchored on its trace.
@@ -338,8 +335,8 @@ def solve_traveling_wave(config: SolverConfig) -> TravelingWave:
     Raises:
         ConfigurationError: for inconsistent setup (via grid resolution).
         NonConvergenceError: if a stage's outer loop or front solve fails
-            (neither is retried), or the stage budget runs out before the
-            speed settles.
+            (neither is retried), or the stage budget runs out before a stage
+            settles with its floor inactive.
     """
     grid = resolve_grid(config)
     base = config.kinetics
@@ -355,7 +352,9 @@ def solve_traveling_wave(config: SolverConfig) -> TravelingWave:
             n *= 2
             continue
         state, updates = solve_at_truncation(config, n, grid=grid, start=state)
-        floor_inactive = _floor_inactive(base, state.theta, n)
+        # The floor is inactive when K is at least 1/n everywhere on the trace.
+        k_min = float(np.min(base.evaluate(np.maximum(state.theta, 0.0))))
+        floor_inactive = k_min >= 1.0 / n
         gap = abs(state.speed - history[-1].speed) if history else np.inf
         history.append(
             StageRecord(
@@ -368,10 +367,13 @@ def solve_traveling_wave(config: SolverConfig) -> TravelingWave:
             )
         )
         logger.info(
-            "stage n=%d: speed %.12g after %d sweeps (floor inactive: %s)",
+            "stage n=%d: speed %.12g after %d sweeps, min theta %.6g, "
+            "floor margin n*min K(theta) %.6g (floor inactive: %s)",
             n,
             state.speed,
             len(updates),
+            float(np.min(state.theta)),
+            n * k_min,
             floor_inactive,
         )
 
@@ -380,18 +382,15 @@ def solve_traveling_wave(config: SolverConfig) -> TravelingWave:
             # solved the untruncated problem.
             stop_reason = "truncation is a no-op for this rate law"
             break
-        if gap < config.outer_tol:
-            stop_reason = (
-                "stage speeds settled; floor inactive along the front"
-                if floor_inactive
-                else "stage speeds settled with the floor still active"
-            )
+        if floor_inactive and gap < config.outer_tol:
+            stop_reason = "stage speeds settled; floor inactive along the front"
             break
         n *= 2
     else:
         raise NonConvergenceError(
-            "continuation exhausted its stage budget before the speed settled; last "
-            f"stage tried n={n // 2}, floor 1/n = {2.0 / n:.3g}, K(1) = {k_hot:.3g}",
+            "continuation exhausted its stage budget before a stage settled with "
+            f"its floor inactive; last stage tried n={n // 2}, floor 1/n = "
+            f"{2.0 / n:.3g}, K(1) = {k_hot:.3g}",
             iterations=_MAX_STAGES,
             residual=history[-1].speed_gap if history else None,
             history=[rec.speed for rec in history][-8:],

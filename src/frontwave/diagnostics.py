@@ -4,8 +4,10 @@ Each check tests a structural property the continuous problem guarantees --
 speed bounds, conserved trace integral, qualitative monotonicity, a Jensen
 inequality for the reacted mass, a pointwise exponential barrier, an energy
 identity, and a curvature cap -- with explicit slack for discretization
-error.  A failing check flags a wave that should not be trusted, however
-converged the iteration counters look.
+error.  The speed, Jensen and curvature slacks shrink with their bound once
+it falls below one, so they stay checks on slow waves.  A failing check flags
+a wave that should not be trusted, however converged the iteration counters
+look.
 """
 from __future__ import annotations
 
@@ -84,6 +86,12 @@ class DiagnosticsReport:
         return "\n".join(lines)
 
 
+def _scaled(slack: float, bound: float) -> float:
+    """``slack * min(1, |bound|)``: absolute for bounds of order one or more,
+    relative below, so a check against a small bound is not vacuous."""
+    return float(slack * min(1.0, abs(bound)))
+
+
 def _clipped_theta(wave) -> np.ndarray:
     return np.maximum(np.asarray(wave.theta, dtype=float), 0.0)
 
@@ -92,13 +100,14 @@ def check_speed_lower(wave) -> CheckResult:
     """Speed is at least the slowest burning rate times the reacted mass."""
     r_lo, _ = wave.rate.bounds
     bound = r_lo * wave.final_kinetics.unit_integral()
+    slack = _scaled(SPEED_SLACK, bound)
     return CheckResult(
         name="speed_lower",
         statement="speed >= min(R) * integral of the floored rate law",
-        passed=wave.speed >= bound - SPEED_SLACK,
+        passed=wave.speed >= bound - slack,
         measured=float(wave.speed),
         bound=float(bound),
-        tolerance=SPEED_SLACK,
+        tolerance=slack,
     )
 
 
@@ -106,13 +115,14 @@ def check_speed_upper(wave) -> CheckResult:
     """Speed cannot exceed the fastest burning rate times the rate cap."""
     _, r_hi = wave.rate.bounds
     bound = r_hi * wave.final_kinetics.supremum
+    slack = _scaled(SPEED_SLACK, bound)
     return CheckResult(
         name="speed_upper",
         statement="speed <= max(R) * supremum of the floored rate law",
-        passed=wave.speed <= bound + SPEED_SLACK,
+        passed=wave.speed <= bound + slack,
         measured=float(wave.speed),
         bound=float(bound),
-        tolerance=SPEED_SLACK,
+        tolerance=slack,
     )
 
 
@@ -147,13 +157,14 @@ def check_jensen_bound(wave) -> CheckResult:
     kin = wave.final_kinetics
     mean_rate = float(np.mean(kin.evaluate(_clipped_theta(wave))))
     bound = kin.unit_integral()
+    slack = _scaled(JENSEN_SLACK, bound)
     return CheckResult(
         name="jensen_bound",
         statement="mean of K(theta) >= integral of K over the unit interval",
-        passed=mean_rate >= bound - JENSEN_SLACK,
+        passed=mean_rate >= bound - slack,
         measured=mean_rate,
         bound=float(bound),
-        tolerance=JENSEN_SLACK,
+        tolerance=slack,
     )
 
 
@@ -224,16 +235,17 @@ def check_curvature_cap(wave) -> CheckResult:
             dist = np.abs((nodes - center + ny // 2) % ny - ny // 2)
             mask &= dist > 2
     worst = float(np.max(excess[mask])) if mask.any() else 0.0
+    slack = _scaled(CURVATURE_SLACK, cap)
     return CheckResult(
         name="curvature_cap",
         statement=(
             "|psi_yy| <= 2 * max(R) * sup(K) * (1 + psi_y^2)^(3/2) away "
             "from striation edges"
         ),
-        passed=worst <= CURVATURE_SLACK,
+        passed=worst <= slack,
         measured=worst,
         bound=0.0,
-        tolerance=CURVATURE_SLACK,
+        tolerance=slack,
     )
 
 

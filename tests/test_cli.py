@@ -579,19 +579,15 @@ def test_floor_bound_stage_budget_is_nonconvergence_naming_the_floor(
     assert manifest["error"] == "NonConvergenceError"
     assert manifest["iterations"] == 24
     assert manifest["reason"] == (
-        "continuation exhausted its stage budget before the speed settled; "
-        f"last stage tried n=8388608, floor 1/n = {2.0 ** -23:.3g}, "
-        f"K(1) = {math.exp(-50.0):.3g}"
+        "continuation exhausted its stage budget before a stage settled with "
+        "its floor inactive; last stage tried n=8388608, "
+        f"floor 1/n = {2.0 ** -23:.3g}, K(1) = {math.exp(-50.0):.3g}"
     )
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="ROADMAP item 9: a wave that settles at its floor's own speed "
-    "must fail by name with exit 2; today it stops at 2^-23 and exits 3",
-)
 def test_wave_settled_at_its_floor_speed_fails_by_name(tmp_path):
+    # K(1) = e^-15 binds the floor of every stage up to n = 2^23, so stages
+    # whose speeds agree with the floor's own speed never end the solve.
     doc = dict(FLAT_DOC, kinetics={"type": "arrhenius", "prefactor": 1.0,
                                    "activation": 15.0},
                grid={"ny": 8, "nx": 256, "depth": 40.0})
@@ -599,7 +595,11 @@ def test_wave_settled_at_its_floor_speed_fails_by_name(tmp_path):
     code = main(["solve", "--config", write_config(tmp_path, doc),
                  "--out", str(outdir)])
     assert code == 2
-    assert read_manifest(outdir)["status"] == "failed"
+    manifest = read_manifest(outdir)
+    assert manifest["status"] == "failed"
+    assert manifest["error"] == "NonConvergenceError"
+    assert "n=8388608" in manifest["reason"]
+    assert not (outdir / "diagnostics.json").exists()
 
 
 def test_activation_sweep_parallel(tmp_path, capsys):

@@ -11,6 +11,7 @@ from frontwave import (
     ArrheniusKinetics,
     ConfigurationError,
     ConstantKinetics,
+    FrontProfile,
     FrontwaveError,
     NonConvergenceError,
     PiecewiseConstantRate,
@@ -324,6 +325,32 @@ def test_stage_retries_neither_outer_nor_front_failures(monkeypatch):
         solve_traveling_wave(flat_like(**striated))
     assert len(front_calls) == 1
     assert stage_calls == [4]
+
+
+def test_settled_stages_whose_floor_binds_do_not_stop_the_continuation(
+    monkeypatch,
+):
+    # The stand-in returns one speed at every stage.  Its trace touches zero,
+    # where K(0) = 0 < 1/n, until stage n=16, whose trace is uniformly hot.
+    stage_calls = []
+
+    def settled_stage(config, n, grid=None, start=None):
+        stage_calls.append(n)
+        theta = np.ones(config.ny)
+        if n < 16:
+            theta[0] = 0.0
+        state = _PicardState(
+            speed=0.25, psi=FrontProfile(np.zeros(config.ny)), theta=theta,
+            field=None,
+        )
+        return state, [0.0]
+
+    monkeypatch.setattr(coupler, "solve_at_truncation", settled_stage)
+    wave = solve_traveling_wave(flat_like(run_diagnostics=False))
+    assert stage_calls == [4, 8, 16]
+    assert [rec.floor_inactive for rec in wave.history] == [False, False, True]
+    assert [rec.speed_gap for rec in wave.history][1:] == [0.0, 0.0]
+    assert wave.stop_reason == "stage speeds settled; floor inactive along the front"
 
 
 def test_flat_wave_matches_closed_form(flat_wave):

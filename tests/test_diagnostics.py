@@ -9,11 +9,15 @@ import pytest
 import oracles
 from frontwave import (
     FrontProfile,
+    SmoothRate,
     TemperatureField,
     run_all,
     truncate_kinetics,
 )
 from frontwave.diagnostics import (
+    CURVATURE_SLACK,
+    JENSEN_SLACK,
+    SPEED_SLACK,
     check_curvature_cap,
     check_energy_identity,
     check_jensen_bound,
@@ -83,6 +87,28 @@ def test_halved_speed_fails_lower_bound(flat_wave):
     corrupt = dataclasses.replace(flat_wave, speed=flat_wave.speed / 2.0)
     assert not check_speed_lower(corrupt).passed
     assert not run_all(corrupt).passed
+
+
+def test_speed_just_under_a_small_lower_bound_fails(flat_wave):
+    # A burning rate of 1e-3 puts the lower bound below the absolute slack
+    # 1e-3, which would let any positive speed pass; the slack scales with
+    # the bound instead.
+    slow = dataclasses.replace(flat_wave, rate=SmoothRate(mean=1e-3))
+    bound = check_speed_lower(slow).bound
+    assert bound < 1e-3
+    assert not check_speed_lower(dataclasses.replace(slow, speed=0.99 * bound)).passed
+
+
+def test_slacks_scale_with_bounds_below_one(flat_wave):
+    lower = check_speed_lower(flat_wave)
+    upper = check_speed_upper(flat_wave)
+    jensen = check_jensen_bound(flat_wave)
+    assert lower.bound < 1.0 and jensen.bound < 1.0 and upper.bound == 1.0
+    assert lower.tolerance == SPEED_SLACK * lower.bound
+    assert upper.tolerance == SPEED_SLACK
+    assert jensen.tolerance == JENSEN_SLACK * jensen.bound
+    # The curvature cap 2 * max(R) * sup K is 2 here, so its slack is whole.
+    assert check_curvature_cap(flat_wave).tolerance == CURVATURE_SLACK
 
 
 def test_doubled_cap_speed_fails_upper_bound(flat_wave):
