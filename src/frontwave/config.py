@@ -1,8 +1,8 @@
 """Strict JSON configuration parsing.
 
-The file has up to five sections: ``kinetics`` and ``rate`` (required),
-``grid``, ``solver``, and ``diagnostics`` (optional).  Unknown sections or
-fields are rejected rather than ignored, so typos fail loudly.
+The file has up to four sections: ``kinetics`` and ``rate`` (required),
+``grid`` and ``solver`` (optional).  Unknown sections or fields are rejected
+rather than ignored, so typos fail loudly.
 """
 from __future__ import annotations
 
@@ -110,9 +110,7 @@ _GRID_FIELDS = ("ny", "nx", "depth")
 
 def config_from_dict(data: dict) -> SolverConfig:
     """Build a solver configuration from a parsed JSON document."""
-    _check_fields(
-        "config", data, ("kinetics", "rate"), ("grid", "solver", "diagnostics")
-    )
+    _check_fields("config", data, ("kinetics", "rate"), ("grid", "solver"))
     kwargs = {
         "kinetics": parse_kinetics(data["kinetics"]),
         "rate": parse_rate(data["rate"]),
@@ -131,13 +129,6 @@ def config_from_dict(data: dict) -> SolverConfig:
     _check_fields("solver", solver, (), ("outer_tol",))
     if "outer_tol" in solver:
         kwargs["outer_tol"] = _number("solver", solver, "outer_tol")
-
-    diag = data.get("diagnostics", {})
-    _check_fields("diagnostics", diag, (), ("enabled",))
-    if "enabled" in diag:
-        if not isinstance(diag["enabled"], bool):
-            raise ConfigurationError("diagnostics.enabled must be a boolean")
-        kwargs["run_diagnostics"] = diag["enabled"]
 
     return SolverConfig(**kwargs)
 

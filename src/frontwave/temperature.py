@@ -309,8 +309,9 @@ def _solvent(W: np.ndarray, D: np.ndarray, U: np.ndarray) -> np.ndarray:
             break
         inverse = np.linalg.inv(A1)
         K0, K2 = inverse @ A0, inverse @ A2
-        A1 = A1 - A0 @ K2 - A2 @ K0
-        hat = hat - A2 @ K0
+        A2K0 = A2 @ K0
+        A1 = A1 - A0 @ K2 - A2K0
+        hat = hat - A2K0
         A0, A2 = -A0 @ K0, -A2 @ K2
     return -np.linalg.solve(hat, W)
 

@@ -16,6 +16,7 @@ import scipy.linalg
 import frontwave
 import frontwave.cli as cli
 import frontwave.coupler as coupler
+import frontwave.diagnostics as diagnostics
 import frontwave.temperature as temperature
 from frontwave import (
     ConfigurationError,
@@ -65,6 +66,21 @@ def solved_run(tmp_path_factory):
 
 def read_manifest(outdir):
     return json.loads((outdir / "manifest.json").read_text())
+
+
+def fail_first_check(monkeypatch, selects=lambda wave: True):
+    """Have the solver's ``run_all`` mark the first check of each wave that
+    ``selects`` picks as failed, leaving the wave itself as solved."""
+    real = diagnostics.run_all
+
+    def run_all(wave):
+        report = real(wave)
+        if not selects(wave):
+            return report
+        first, *rest = report.checks
+        return DiagnosticsReport(checks=(replace(first, passed=False), *rest))
+
+    monkeypatch.setattr(diagnostics, "run_all", run_all)
 
 
 def test_solve_flat_succeeds(solved_run, capsys):
@@ -164,6 +180,19 @@ def test_diagnose_refuses_a_v2_run_directory(solved_run, tmp_path, caplog):
     assert "re-run `frontwave solve`" in caplog.text
 
 
+def test_diagnose_refuses_a_stored_config_with_a_diagnostics_section(
+    solved_run, tmp_path, caplog
+):
+    _, outdir = solved_run
+    copy = tmp_path / "unchecked"
+    shutil.copytree(outdir, copy)
+    manifest = read_manifest(copy)
+    manifest["config"]["diagnostics"] = {"enabled": False}
+    (copy / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["diagnose", "--in", str(copy)]) == 1
+    assert "config: unknown field(s) ['diagnostics']" in caplog.text
+
+
 def test_diagnose_missing_directory(tmp_path):
     assert main(["diagnose", "--in", str(tmp_path / "nowhere")]) == 1
 
@@ -229,6 +258,24 @@ def test_solve_rejects_removed_solver_keys(tmp_path, caplog):
         assert "\n" not in record.getMessage()
         assert f"unknown field(s) ['{key}']" in record.getMessage()
         assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_diagnostics_section_is_config_error_before_any_solve(
+    tmp_path, monkeypatch, caplog, command
+):
+    solves = []
+    monkeypatch.setattr(cli, "solve_traveling_wave", solves.append)
+    doc = dict(FLAT_DOC, diagnostics={"enabled": False})
+    outdir = tmp_path / "run"
+    argv = [command, "--config", write_config(tmp_path, doc), "--out", str(outdir)]
+    if command == "sweep":
+        argv += ["--axis", "kinetics.activation=1,2"]
+    assert main(argv) == 1
+    assert solves == []
+    [record] = caplog.records
+    assert record.getMessage() == "config: unknown field(s) ['diagnostics']"
+    assert not outdir.exists()
 
 
 def test_solve_linear_solver_failure_writes_failure_manifest(tmp_path, monkeypatch):
@@ -467,15 +514,7 @@ def test_vanishing_kinetics_integral_is_configuration_error(tmp_path):
 
 
 def test_solve_whose_checks_fail_exits_3(tmp_path, capsys, monkeypatch):
-    real = cli.solve_traveling_wave
-
-    def failing_report(config):
-        wave = real(config)
-        first, *rest = wave.report.checks
-        checks = (replace(first, passed=False), *rest)
-        return replace(wave, report=DiagnosticsReport(checks=checks))
-
-    monkeypatch.setattr(cli, "solve_traveling_wave", failing_report)
+    fail_first_check(monkeypatch)
     outdir = tmp_path / "run"
     code = main(["solve", "--config", write_config(tmp_path, FLAT_DOC),
                  "--out", str(outdir)])
@@ -662,7 +701,7 @@ def test_contrast_axis_builds_two_layer_medium(tmp_path):
     assert 0.0742 - 1e-3 <= manifest["speed"] <= 1.5 + 1e-3
 
 
-def test_sweep_rejects_bad_axes(tmp_path):
+def test_sweep_rejects_bad_axes(tmp_path, caplog):
     config = write_config(tmp_path, FLAT_DOC)
     out = str(tmp_path / "sweep")
     assert main(["sweep", "--config", config, "--axis", "contrast=",
@@ -673,6 +712,15 @@ def test_sweep_rejects_bad_axes(tmp_path):
                  "--out", out]) == 1
     assert main(["sweep", "--config", config, "--axis", "grid.nz=4",
                  "--out", out]) == 1
+    for axis, message in [
+        ("=1,2", "axis parameter name is empty"),
+        ("kinetics.type.x=1", "axis path 'kinetics.type.x' crosses a non-object"),
+    ]:
+        caplog.clear()
+        assert main(["sweep", "--config", config, "--axis", axis,
+                     "--out", out]) == 1
+        assert [record.getMessage() for record in caplog.records] == [message]
+    assert not Path(out).exists()
 
 
 def test_sweep_blocked_case_path_fails_before_any_row(tmp_path, monkeypatch, caplog):
@@ -707,6 +755,26 @@ def test_sweep_mixed_verdicts_exit_3(tmp_path, capsys, monkeypatch):
     assert second[-1] == "pass"
     assert read_manifest(outdir / "case_000")["status"] == "failed"
     assert read_manifest(outdir / "case_001")["status"] == "converged"
+
+
+def test_sweep_row_whose_checks_fail_reads_checks_failed(tmp_path, capsys, monkeypatch):
+    fail_first_check(monkeypatch, lambda wave: wave.kinetics.activation == 2.0)
+    outdir = tmp_path / "sweep"
+    code = main(["sweep", "--config", write_config(tmp_path, FLAT_DOC),
+                 "--axis", "kinetics.activation=1,2", "--out", str(outdir),
+                 "--jobs", "2"])
+    assert code == 3
+    out = capsys.readouterr().out
+    assert re.search(r"^kinetics\.activation=2: speed 0\.13\d+ \[checks-failed\]$",
+                     out, re.MULTILINE)
+
+    table = read_table(outdir / "sweep.csv")
+    assert table["verdict"] == ["pass", "checks-failed"]
+    assert abs(float(table["speed"][1]) - math.exp(-2.0)) <= 5e-4
+    manifest = read_manifest(outdir / "case_001")
+    assert manifest["status"] == "converged"
+    assert manifest["diagnostics_passed"] is False
+    assert read_manifest(outdir / "case_000")["diagnostics_passed"] is True
 
 
 def test_sweep_row_with_configuration_error_does_not_abort_sweep(tmp_path, capsys):

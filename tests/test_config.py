@@ -1,5 +1,6 @@
 """Strict JSON configuration parsing: schema, defaults, and rejection."""
 import json
+import re
 
 import pytest
 
@@ -27,7 +28,6 @@ def full_document():
         "rate": {"type": "piecewise", "edges": [0.0, 0.5], "values": [0.5, 1.5]},
         "grid": {"ny": 32, "nx": 1024, "depth": 60.0},
         "solver": {"outer_tol": 1e-7},
-        "diagnostics": {"enabled": False},
     }
 
 
@@ -49,7 +49,8 @@ def test_full_document_round_trip():
     assert config.nx == 1024
     assert config.depth == 60.0
     assert config.outer_tol == 1e-7
-    assert config.run_diagnostics is False
+    # no section turns the checks off
+    assert config.run_diagnostics is True
 
 
 def test_auto_and_null_grid_entries():
@@ -75,6 +76,11 @@ def test_unknown_keys_rejected_everywhere():
                 "max_outer_iter", "max_stages"):
         with pytest.raises(ConfigurationError, match=key):
             config_from_dict(dict(MINIMAL, solver={key: 1}))
+    # and the section of earlier releases that could turn the checks off
+    for section in ({"enabled": False}, {"enabled": True}, {}):
+        message = "config: unknown field(s) ['diagnostics']"
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            config_from_dict(dict(MINIMAL, diagnostics=section))
 
 
 def test_missing_required_sections_rejected():
@@ -95,8 +101,17 @@ def test_type_errors_are_configuration_errors():
         config_from_dict(dict(MINIMAL, grid={"ny": True}))
     with pytest.raises(ConfigurationError):
         config_from_dict(dict(MINIMAL, solver={"outer_tol": "strong"}))
-    with pytest.raises(ConfigurationError):
-        config_from_dict(dict(MINIMAL, diagnostics={"enabled": 1}))
+    for override, message in [
+        ({"grid": {"depth": True}}, "grid.depth must be a number"),
+        ({"grid": 5}, "grid must be an object"),
+        ({"solver": [1e-6]}, "solver must be an object"),
+        ({"kinetics": [1.0]}, "kinetics must be an object with a 'type'"),
+        ({"rate": {"value": 1.0}}, "rate must be an object with a 'type'"),
+        ({"kinetics": {"type": "tabulated", "points": {"0": 0}}},
+         "kinetics.points must be a list"),
+    ]:
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            config_from_dict(dict(MINIMAL, **override))
 
 
 def test_model_validation_wrapped_with_section_name():
@@ -164,4 +179,12 @@ def test_load_config_rejects_bad_documents(tmp_path):
 
     path.write_text(json.dumps([1, 2, 3]))
     with pytest.raises(ConfigurationError):
+        load_config(path)
+
+    # JSON parses the bare word NaN, so the table check must catch it
+    path.write_text(
+        '{"kinetics": {"type": "tabulated", "points": [[0, 0], [0.5, NaN], [1, 1]]},'
+        ' "rate": {"type": "constant", "value": 1.0}}'
+    )
+    with pytest.raises(ConfigurationError, match="table entries must be finite"):
         load_config(path)

@@ -273,6 +273,26 @@ def test_solve_at_truncation_reports_nonconvergence_history(monkeypatch):
     assert np.isfinite(speed) and np.isfinite(update)
 
 
+def test_non_finite_sweep_update_is_a_diverged_stage(monkeypatch):
+    real_step = coupler._picard_step
+    sweeps = []
+
+    def overflow_on_second_sweep(state, *args):
+        sweeps.append(state)
+        new = real_step(state, *args)
+        return new._replace(speed=math.nan) if len(sweeps) == 2 else new
+
+    monkeypatch.setattr(coupler, "_picard_step", overflow_on_second_sweep)
+    with pytest.raises(NonConvergenceError) as excinfo:
+        solve_at_truncation(flat_like(), 4)
+    err = excinfo.value
+    assert str(err) == "stage n=4: outer iteration diverged"
+    assert len(sweeps) == 2
+    assert err.iterations == 2
+    assert math.isnan(err.residual)
+    assert np.isfinite(err.history[0][1]) and math.isnan(err.history[1][0])
+
+
 @pytest.mark.xfail(
     strict=True,
     raises=NonConvergenceError,
