@@ -298,14 +298,30 @@ def _backward_error(matrix, solution, rhs) -> float:
 
 
 def _solvent(W: np.ndarray, D: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """Minimal solvent ``G`` of ``W + D G + U G^2 = 0`` by cyclic reduction
-    (Bini & Meini, Numer. Algorithms 51, 2009), quadratically convergent
-    with ratio ``rho(G)``; each step inverts ``A1`` with numpy, which releases
-    the interpreter lock.  A ``G`` left inexact at the step cap fails the
-    solve's solvent check."""
-    A0, A1, A2, hat = W, D, U, D
-    for _ in range(64):  # about log2(35 / (c * hx)) steps are taken
-        if np.max(np.abs(A0)) <= 1e-15 * np.max(np.abs(A1)):
+    """Minimal solvent ``G`` of ``W + D G + U G^2 = 0`` by shifted cyclic
+    reduction (Bini & Meini, Numer. Algorithms 51, 2009; He, Meini & Rhee,
+    SIAM J. Matrix Anal. Appl. 23, 2001); each step inverts ``A1`` with
+    numpy, which releases the interpreter lock.
+
+    ``W + D + U`` is the periodic y-Laplacian for every front (the mixed legs
+    cancel), so the pencil ``W + D z + U z^2`` has the root ``z = 1`` with
+    the constant vector, and plain reduction would converge only at rate
+    ``rho(G) ~ e^{-c hx}``.  Since ``1^T`` annihilates the Laplacian, the
+    flux ``1^T (W v_{i+1} - U v_i)`` is the same on every line of a solution
+    and zero on decaying ones, so ``1^T W = 1^T U G``; ``G`` therefore also
+    solves the shifted equation with ``D + 1 1^T W / ny`` and
+    ``U - 1 1^T U / ny``, whose root ``z = 1`` has moved to infinity; its
+    next root, about ``e^{2 pi hx}`` from the first transverse mode, sets
+    the rate.  The reduction stops once ``A0`` or ``A2`` is below ``1e-15``
+    of ``A1``.  One closing step ``G = -(D + U G)^{-1} W`` on the
+    unshifted bands damps the rounding left in the slowest mode, to which
+    the trace is most sensitive.  A ``G`` left inexact at the step cap fails
+    the solve's solvent check."""
+    A0, A1, A2 = W, D + W.mean(axis=0), U - U.mean(axis=0)
+    hat = A1
+    # About log2(35 / ((c + 2 pi) hx)) steps, 6 at hx = 40/512 whatever c is.
+    for _ in range(64):
+        if min(np.max(np.abs(A0)), np.max(np.abs(A2))) <= 1e-15 * np.max(np.abs(A1)):
             break
         inverse = np.linalg.inv(A1)
         K0, K2 = inverse @ A0, inverse @ A2
@@ -313,7 +329,8 @@ def _solvent(W: np.ndarray, D: np.ndarray, U: np.ndarray) -> np.ndarray:
         A1 = A1 - A0 @ K2 - A2K0
         hat = hat - A2K0
         A0, A2 = -A0 @ K0, -A2 @ K2
-    return -np.linalg.solve(hat, W)
+    G = -np.linalg.solve(hat, W)
+    return -np.linalg.solve(D + U @ G, W)
 
 
 def _solvent_residual(W, D, U, G) -> float:
@@ -331,14 +348,18 @@ def solve_temperature(psi: FrontProfile, c: float, grid: StripGrid) -> Temperatu
 
     Every interior line holds the Y-bands ``U, D, W`` at X-offsets -1, 0, +1,
     so the decaying solutions are ``v_{i-1} = G v_i``, ``G`` the minimal
-    solvent of ``W + D G + U G^2 = 0`` (``rho(G) ~ e^{-c hx}``).  The trace
-    solves the ``ny x ny`` flux system ``(F + B G) v = r`` (one sparse LU,
-    one solve); the rows behind it are ``G v, G^2 v, ...``, built by doubling:
-    rows ``k..2k-1`` are rows ``0..k-1`` times ``(G^k)^T``, ``G^k`` by
-    squaring.  The tail ends at the first row at index 15 or more whose max is
-    below ``1e-14`` of the trace's (so at least 16 rows), or at ``nx + 1``
-    rows, and the rows beyond are zeros.  ``depth`` sets only ``hx``: when the
-    tail is longer than the grid, ``values[0]`` holds its continuation.
+    solvent of ``W + D G + U G^2 = 0`` (``rho(G) ~ e^{-c hx}``), found by
+    shifted cyclic reduction, whose step count does not grow as ``c`` falls
+    (``_solvent``).
+    The trace solves the ``ny x ny`` flux system ``(F + B G) v = r`` (one
+    sparse LU, one solve); the rows behind it are ``G v, G^2 v, ...``, built
+    by doubling in one ``(nx + 1) x ny`` buffer: rows ``k..2k-1`` are rows
+    ``0..k-1`` times ``(G^k)^T``, written in place, ``G^k`` by squaring, and
+    only the new rows are tested against the cut.  The tail ends at the first
+    row at index 15 or more whose max is below ``1e-14`` of the trace's (so
+    at least 16 rows), or at ``nx + 1`` rows, and the rows beyond are zeros.
+    ``depth`` sets only ``hx``: when the tail is longer than the grid,
+    ``values[0]`` holds its continuation.
 
     Two checks, each bounded by ``1e-12``, both inside the BLAS pin; no
     correction step follows.  The solvent check bounds the relative residual
@@ -366,16 +387,23 @@ def solve_temperature(psi: FrontProfile, c: float, grid: StripGrid) -> Temperatu
             raise LinearSolverError(f"cyclic reduction failed: {exc}") from exc
         except RuntimeError as exc:
             raise LinearSolverError(f"sparse factorization failed: {exc}") from exc
-        # Double until a row from index 15 on is below the cut or the grid is full.
-        tail, power, above = lu.solve(flux_rhs)[None], G, np.ones(0, bool)
-        cut = _TAIL_CUT * np.max(np.abs(tail))
-        while len(tail) <= grid.nx and above.all():
-            tail = np.vstack([tail, tail[: grid.nx + 1 - len(tail)] @ power.T])
+        # Double into one buffer until a new row from index 15 on is below
+        # the cut or the grid is full.
+        tail = np.empty((grid.nx + 1, grid.ny))
+        tail[0] = lu.solve(flux_rhs)
+        cut = _TAIL_CUT * np.max(np.abs(tail[0]))
+        rows, power, above = 1, G, np.ones(0, bool)
+        while rows <= grid.nx and above.all():
+            new = min(rows, grid.nx + 1 - rows)
+            np.matmul(tail[:new], power.T, out=tail[rows : rows + new])
             power = power @ power
-            above = np.abs(tail[_MIN_ROWS - 1 :]).max(axis=1) >= cut
-        rows = len(tail) if above.all() else _MIN_ROWS + np.argmin(above)
-        values = np.zeros((grid.nx + 1, grid.ny))
-        values[grid.nx + 1 - rows :] = tail[rows - 1 :: -1]
+            first = max(rows, _MIN_ROWS - 1)
+            above = np.abs(tail[first : rows + new]).max(axis=1) >= cut
+            rows += new
+        if not above.all():
+            rows = first + 1 + np.argmin(above)
+        tail[rows:] = 0.0
+        values = tail[::-1]
         solvent = _solvent_residual(W, D, U, G)
         strip = StripGrid(_MIN_ROWS, grid.ny, _MIN_ROWS * grid.hx)
         matrix, rhs = assemble_system(psi, c, strip)

@@ -625,14 +625,26 @@ def test_floor_bound_stage_budget_is_nonconvergence_naming_the_floor(
 
 
 def test_wave_settled_at_its_floor_speed_fails_by_name(tmp_path):
-    # K(1) = e^-15 binds the floor of every stage up to n = 2^23, so stages
-    # whose speeds agree with the floor's own speed never end the solve.
-    doc = dict(FLAT_DOC, kinetics={"type": "arrhenius", "prefactor": 1.0,
-                                   "activation": 15.0},
-               grid={"ny": 8, "nx": 256, "depth": 40.0})
-    outdir = tmp_path / "run"
-    code = main(["solve", "--config", write_config(tmp_path, doc),
-                 "--out", str(outdir)])
+    # K(1) = e^-15 lies above the floor 1/n from n = 2^22 on, and the shifted
+    # cyclic reduction keeps the flux of so slow a wave, so it is solved.
+    def solve(activation):
+        doc = dict(FLAT_DOC, kinetics={"type": "arrhenius", "prefactor": 1.0,
+                                       "activation": activation},
+                   grid={"ny": 8, "nx": 256, "depth": 40.0})
+        outdir = tmp_path / f"run-{activation}"
+        code = main(["solve", "--config", write_config(tmp_path, doc),
+                     "--out", str(outdir)])
+        return code, outdir
+
+    code, outdir = solve(15.0)
+    assert code == 0
+    manifest = read_manifest(outdir)
+    assert manifest["status"] == "converged"
+    assert abs(manifest["speed"] / math.exp(-15.0) - 1.0) <= 1e-6
+    assert json.loads((outdir / "diagnostics.json").read_text())["passed"] is True
+    # K(1) = e^-15.5 = 1.86e-7 lies above the floor only at n = 2^23, the last
+    # stage, so no two stages can settle and the stage budget runs out.
+    code, outdir = solve(15.5)
     assert code == 2
     manifest = read_manifest(outdir)
     assert manifest["status"] == "failed"

@@ -380,6 +380,19 @@ def test_flat_wave_matches_closed_form(flat_wave):
     assert flat_wave.converged
 
 
+@pytest.mark.parametrize("activation", [10.0, 12.0, 14.0])
+def test_slow_flat_waves_burn_at_their_closed_form_speed(activation):
+    """Arrhenius B = 10 to 14 in a uniform medium burns at ``e^{-B}``, 4.5e-5
+    down to 8.3e-7, on an explicit grid whose ``c hx`` is below 1e-5: each
+    speed is within 1e-6 of it and every check passes."""
+    wave = solve_traveling_wave(
+        flat_like(kinetics=ArrheniusKinetics(prefactor=1.0, activation=activation),
+                  ny=8, nx=256)
+    )
+    assert abs(wave.speed / math.exp(-activation) - 1.0) <= 1e-6
+    assert wave.report.passed
+
+
 def test_constant_kinetics_stops_without_truncation():
     config = flat_like(kinetics=ConstantKinetics(2.0), nx=None, depth=None)
     wave = solve_traveling_wave(config)
