@@ -2,7 +2,6 @@
 
 from .config import config_from_dict, load_config
 from .coupler import (
-    ResidualNorms,
     SolverConfig,
     StageRecord,
     TravelingWave,

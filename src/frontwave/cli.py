@@ -204,6 +204,8 @@ def cmd_convergence(args) -> int:
             # Level 0 sized the grid as ``solve`` would; each level doubles it.
             grid = waves[-1].grid
             case = replace(case, nx=2 * grid.nx, ny=2 * grid.ny, depth=grid.depth)
+            # A failure manifest echoes the grid this level ran on.
+            echo = {**echo, "grid": {"ny": case.ny, "nx": case.nx, "depth": case.depth}}
         start = time.perf_counter()
         wave = _solve(case, echo, outdir)
         waves.append(wave)
@@ -245,7 +247,7 @@ def cmd_convergence(args) -> int:
                 wave.speed,
                 errors[level],
                 orders[level] if level < len(orders) else math.nan,
-                wave.residuals.trace_deviation,
+                wave.residuals["trace_deviation"],
             )
         )
     outdir.mkdir(parents=True, exist_ok=True)

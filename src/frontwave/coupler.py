@@ -14,8 +14,9 @@ whose sweeps diverge or run out of budget is not retried: it raises
 ``NonConvergenceError`` with its sweep history.
 
 The wave quotes the last stage's fixed point (profile, trace, field).  No
-sweep follows it: only the forcing is rebuilt from that trace and the speed
-from that forcing, so the speed identity holds exactly.
+sweep follows it: only the speed is rebuilt from the forcing of that trace,
+so the speed identity holds exactly.  The wave derives that forcing and its
+residual norms from its state.
 
 A stage whose floor ``1/n`` lies above ``K(1)`` is not solved: its law is the
 constant ``1/n`` on the whole unit interval, so it would solve only the
@@ -50,7 +51,6 @@ from .temperature import StripGrid, TemperatureField, solve_temperature
 __all__ = [
     "SolverConfig",
     "StageRecord",
-    "ResidualNorms",
     "TravelingWave",
     "resolve_grid",
     "build_forcing",
@@ -126,17 +126,6 @@ class StageRecord:
     speed_gap: float
 
 
-@dataclass(frozen=True)
-class ResidualNorms:
-    """Convergence measures quoted with a finished wave.  ``front`` is taken
-    against the forcing rebuilt from the final trace, so it can exceed the
-    front Newton tolerance by about the last sweep's update."""
-
-    front: float
-    outer: float
-    trace_deviation: float
-
-
 @dataclass(frozen=True, eq=False)
 class TravelingWave:
     """A converged traveling wave with its audit trail."""
@@ -147,13 +136,11 @@ class TravelingWave:
     speed: float
     psi: FrontProfile
     theta: np.ndarray
-    forcing: Forcing
     field: TemperatureField
     kinetics: KineticsModel
     rate: CombustionRate
     stop_reason: str
     history: tuple
-    residuals: ResidualNorms
     report: Optional["_diagnostics.DiagnosticsReport"] = None
 
     def __post_init__(self):
@@ -177,6 +164,23 @@ class TravelingWave:
     def final_kinetics(self) -> KineticsModel:
         """The floored law ``max(K, 1/n)`` of the stage the wave quotes."""
         return truncate_kinetics(self.kinetics, self.final_truncation)
+
+    @property
+    def forcing(self) -> Forcing:
+        """The final law's forcing on the quoted trace."""
+        return build_forcing(self.final_kinetics, self.rate, self.theta)
+
+    @property
+    def residuals(self) -> dict:
+        """Convergence measures quoted with the wave.  ``front`` is taken
+        against the final trace's forcing, which the last front solve did not
+        see, so it can exceed the Newton tolerance by the last update."""
+        residual = front_residual(self.psi, self.speed, self.forcing)
+        return {
+            "front": float(np.max(np.abs(residual))),
+            "outer": self.history[-1].last_update,
+            "trace_deviation": abs(float(np.mean(self.theta)) - 1.0),
+        }
 
 
 def _stage_speed_cap(config: SolverConfig) -> float:
@@ -330,7 +334,7 @@ def solve_at_truncation(
 
 def solve_traveling_wave(config: SolverConfig) -> TravelingWave:
     """Run the full truncation continuation and return the last stage's
-    fixed point, its forcing and speed re-anchored on its trace.
+    fixed point, its speed re-anchored on its trace.
 
     Raises:
         ConfigurationError: for inconsistent setup (via grid resolution).
@@ -397,24 +401,15 @@ def solve_traveling_wave(config: SolverConfig) -> TravelingWave:
         )
 
     forcing = build_forcing(truncate_kinetics(base, n), rate, state.theta)
-    speed = compute_speed(forcing, state.psi)
-    front_res = float(np.max(np.abs(front_residual(state.psi, speed, forcing))))
-    residuals = ResidualNorms(
-        front=front_res,
-        outer=history[-1].last_update,
-        trace_deviation=abs(float(np.mean(state.theta)) - 1.0),
-    )
     wave = TravelingWave(
-        speed=speed,
+        speed=compute_speed(forcing, state.psi),
         psi=state.psi,
         theta=state.theta,
-        forcing=forcing,
         field=state.field,
         kinetics=base,
         rate=rate,
         stop_reason=stop_reason,
         history=tuple(history),
-        residuals=residuals,
     )
     if config.run_diagnostics:
         wave = replace(wave, report=_diagnostics.run_all(wave))

@@ -17,9 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from .config import config_from_dict
-from .coupler import ResidualNorms, StageRecord, TravelingWave
+from .coupler import StageRecord, TravelingWave
 from .errors import ConfigurationError
-from .front import Forcing, FrontProfile, front_derivatives, front_residual
+from .front import FrontProfile, front_derivatives, front_residual
 from .temperature import StripGrid, TemperatureField
 
 __all__ = [
@@ -87,8 +87,9 @@ def write_solution(outdir, wave: TravelingWave, config_echo: dict):
 
     psi = wave.psi.values
     slope, _ = front_derivatives(wave.psi)
-    residual = front_residual(wave.psi, wave.speed, wave.forcing)
-    rows = zip(y, psi, slope, wave.forcing.values, residual)
+    forcing = wave.forcing
+    residual = front_residual(wave.psi, wave.speed, forcing)
+    rows = zip(y, psi, slope, forcing.values, residual)
     write_rows_csv(outdir / "front.csv", FRONT_COLUMNS, rows)
 
     reaction = wave.final_kinetics.evaluate(np.maximum(wave.theta, 0.0))
@@ -114,7 +115,7 @@ def write_solution(outdir, wave: TravelingWave, config_echo: dict):
             "floor_inactive": wave.floor_inactive,
             "stop_reason": wave.stop_reason,
             "grid": asdict(grid),
-            "residuals": asdict(wave.residuals),
+            "residuals": wave.residuals,
             "stages": [asdict(rec) for rec in wave.history],
             "diagnostics_passed": diagnostics_passed,
             "artifacts": artifacts,
@@ -171,7 +172,8 @@ def read_field(path) -> np.ndarray:
 
 
 def load_wave(outdir):
-    """Reconstruct a wave (without its report) from a run directory.
+    """Reconstruct a wave (without its report) from a run directory's
+    profile, trace, field and stage records.
 
     Returns:
         Tuple ``(wave, config, manifest)``.
@@ -194,13 +196,14 @@ def load_wave(outdir):
         config = config_from_dict(manifest["config"])
         grid = StripGrid(**manifest["grid"])
         speed = float(manifest["speed"])
+        if not (math.isfinite(speed) and speed > 0.0):
+            raise ValueError("speed must be positive and finite")
         history = tuple(
             StageRecord(**{**entry, "speed_gap": _gap(entry["speed_gap"])})
             for entry in manifest["stages"]
         )
-        residuals = ResidualNorms(**manifest["residuals"])
         stop_reason = manifest["stop_reason"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(
             f"{manifest_path}: missing or malformed entry ({exc})"
         ) from None
@@ -219,13 +222,11 @@ def load_wave(outdir):
         speed=speed,
         psi=FrontProfile(front_cols["psi"]),
         theta=trace_cols["theta"],
-        forcing=Forcing(front_cols["forcing"]),
         field=TemperatureField(grid=grid, values=values, speed=speed),
         kinetics=config.kinetics,
         rate=config.rate,
         stop_reason=stop_reason,
         history=history,
-        residuals=residuals,
     )
     return wave, config, manifest
 

@@ -150,6 +150,28 @@ def test_diagnose_manifest_missing_key_is_config_error(solved_run, tmp_path, cap
     assert "missing or malformed entry ('stop_reason')" in caplog.text
 
 
+@pytest.mark.parametrize(
+    "path, value, message",
+    [("grid/nx", 8, "nx must be an integer >= 16"),
+     ("speed", -1, "speed must be positive and finite")],
+)
+def test_diagnose_names_the_manifest_for_an_out_of_range_value(
+    solved_run, tmp_path, caplog, path, value, message
+):
+    _, outdir = solved_run
+    copy = tmp_path / "out-of-range"
+    shutil.copytree(outdir, copy)
+    manifest = read_manifest(copy)
+    *parents, key = path.split("/")
+    node = manifest
+    for part in parents:
+        node = node[part]
+    node[key] = value
+    (copy / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["diagnose", "--in", str(copy)]) == 1
+    assert f"manifest.json: missing or malformed entry ({message})" in caplog.text
+
+
 def test_diagnose_rejects_field_shape_that_differs_from_manifest(
     solved_run, tmp_path, caplog
 ):
@@ -885,6 +907,29 @@ def test_convergence_failure_writes_failure_manifest(tmp_path, monkeypatch):
     assert manifest["exit_code"] == 2
     assert manifest["config"] == FLAT_DOC
     assert not (outdir / "convergence.csv").exists()
+
+
+def test_convergence_failure_manifest_echoes_the_failed_level_grid(
+    tmp_path, monkeypatch
+):
+    real_solve = cli.solve_traveling_wave
+
+    def fail_on_level_1(config):
+        if config.nx == 1024:
+            raise NonConvergenceError("level 1 stalled")
+        return real_solve(config)
+
+    monkeypatch.setattr(cli, "solve_traveling_wave", fail_on_level_1)
+    outdir = tmp_path / "conv"
+    code = main(["convergence", "--config", write_config(tmp_path, FLAT_DOC),
+                 "--levels", "2", "--out", str(outdir)])
+    assert code == 2
+    manifest = read_manifest(outdir)
+    assert manifest["status"] == "failed"
+    assert "level 1 stalled" in manifest["reason"]
+    assert manifest["config"] == {
+        **FLAT_DOC, "grid": {"ny": 16, "nx": 1024, "depth": 40.0},
+    }
 
 
 def test_convergence_rejects_single_level(tmp_path):

@@ -435,10 +435,22 @@ def test_self_consistency_at_convergence(striated_wave):
     assert np.max(np.abs(wave.forcing.values - rebuilt)) <= 1e-8
     residual = front_residual(wave.psi, wave.speed, wave.forcing)
     assert np.max(np.abs(residual)) <= 1e-6
-    assert wave.residuals.front <= 1e-6
-    assert wave.residuals.trace_deviation == pytest.approx(
+    assert wave.residuals["front"] <= 1e-6
+    assert wave.residuals["trace_deviation"] == pytest.approx(
         abs(np.mean(wave.theta) - 1.0), abs=1e-15
     )
+
+
+def test_wave_derives_its_forcing_and_residuals_from_its_trace(striated_wave):
+    theta = 1.1 * striated_wave.theta
+    moved = replace(striated_wave, theta=theta)
+    rebuilt = build_forcing(moved.final_kinetics, moved.rate, theta)
+    assert np.array_equal(moved.forcing.values, rebuilt.values)
+    assert not np.array_equal(moved.forcing.values, striated_wave.forcing.values)
+    assert moved.residuals["trace_deviation"] == abs(float(np.mean(theta)) - 1.0)
+    residual = front_residual(moved.psi, moved.speed, rebuilt)
+    assert moved.residuals["front"] == float(np.max(np.abs(residual)))
+    assert moved.residuals["outer"] == moved.history[-1].last_update
 
 
 def test_wave_quotes_the_last_stage_state(striated_wave, striated_config, monkeypatch):
@@ -478,7 +490,10 @@ def test_wave_quotes_the_last_stage_state(striated_wave, striated_config, monkey
 
 def test_wave_derives_its_stage_facts_and_grid(flat_wave):
     names = {f.name for f in fields(TravelingWave)}
-    assert not names & {"grid", "final_truncation", "floor_inactive", "converged"}
+    assert not names & {
+        "grid", "final_truncation", "floor_inactive", "converged",
+        "forcing", "residuals",
+    }
     last = flat_wave.history[-1]
     assert flat_wave.final_truncation == last.truncation
     assert flat_wave.floor_inactive == last.floor_inactive

@@ -148,7 +148,7 @@ def test_failure_manifest_records_error_fields(tmp_path):
 @pytest.mark.parametrize(
     "path",
     ["config", "grid", "grid/depth", "speed", "stages", "stages/0/sweeps",
-     "stages/0/speed_gap", "residuals/front", "stop_reason"],
+     "stages/0/speed_gap", "stages/0/last_update", "stop_reason"],
 )
 def test_manifest_missing_key_is_configuration_error(rundir, tmp_path, path):
     manifest = json.loads((rundir / "manifest.json").read_text())
