@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import config_from_dict, load_config
-from .coupler import solve_traveling_wave
+from .coupler import resolve_grid, solve_traveling_wave
 from .diagnostics import run_all
 from .errors import ConfigurationError, FrontwaveError
 from .io import (
@@ -197,17 +197,21 @@ def cmd_convergence(args) -> int:
     if args.levels < 2:
         raise ConfigurationError("convergence needs at least two levels")
     outdir = Path(args.out)
-    case = replace(config, run_diagnostics=False)
+    try:
+        # Level 0 is sized as ``solve`` would size it, and level k doubles it
+        # k times at that depth, so every level runs on an explicit grid.
+        base = resolve_grid(config)
+    except FrontwaveError as exc:
+        write_failure_manifest(outdir, echo, exc)
+        raise
     waves = []
     for level in range(args.levels):
-        if waves:
-            # Level 0 sized the grid as ``solve`` would; each level doubles it.
-            grid = waves[-1].grid
-            case = replace(case, nx=2 * grid.nx, ny=2 * grid.ny, depth=grid.depth)
-            # A failure manifest echoes the grid this level ran on.
-            echo = {**echo, "grid": {"ny": case.ny, "nx": case.nx, "depth": case.depth}}
+        nx, ny = base.nx * 2**level, base.ny * 2**level
+        case = replace(config, nx=nx, ny=ny, depth=base.depth, run_diagnostics=False)
+        # A failure manifest echoes the grid this level ran on.
+        level_echo = {**echo, "grid": {"ny": ny, "nx": nx, "depth": base.depth}}
         start = time.perf_counter()
-        wave = _solve(case, echo, outdir)
+        wave = _solve(case, level_echo, outdir)
         waves.append(wave)
         logger.info(
             "level %d (%dx%d): speed %.12g in %.1f s",

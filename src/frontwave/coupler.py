@@ -6,17 +6,17 @@ The traveling wave is a fixed point of the loop
     temperature field -> trace,
 
 iterated undamped.  Because the reaction rate may vanish in the cold limit,
-the loop runs on a floored rate law ``max(K, 1/n)`` and doubles ``n``.  Only
-a stage whose floor is inactive along the front ends the continuation, when
-the truncation is a no-op or its speed is within ``outer_tol`` of the last
-stage's: a stage whose floor binds solves ``max(K, 1/n)``, not ``K``.  A stage
-whose sweeps diverge or run out of budget is not retried: it raises
+the loop runs on floored rate laws ``max(K, 1/n)``, n = 1, 2, 4, ..., 2**23.
+Only a stage whose floor is inactive along the front ends the continuation,
+when the truncation is a no-op or its speed is within ``outer_tol`` of the
+last stage's: a stage whose floor binds solves ``max(K, 1/n)``, not ``K``.  A
+stage whose sweeps diverge or run out of budget is not retried: it raises
 ``NonConvergenceError`` with its sweep history.
 
 The wave quotes the last stage's fixed point (profile, trace, field).  No
-sweep follows it: only the speed is rebuilt from the forcing of that trace,
-so the speed identity holds exactly.  The wave derives that forcing and its
-residual norms from its state.
+sweep follows it: only the speed is rebuilt from the wave's own forcing, so
+the speed identity holds exactly.  The wave derives that forcing, its
+residual norms and why the continuation stopped from its state.
 
 A stage whose floor ``1/n`` lies above ``K(1)`` is not solved: its law is the
 constant ``1/n`` on the whole unit interval, so it would solve only the
@@ -62,9 +62,7 @@ logger = logging.getLogger("frontwave")
 
 _EDGE_ALIGN_TOL = 1e-9
 
-# Continuation budgets: the first truncation ``n``, the sweeps per stage and
-# the stages per solve.
-_FIRST_TRUNCATION = 1
+# Continuation budgets: the sweeps per stage and the stages per solve.
 _MAX_SWEEPS = 200
 _MAX_STAGES = 24
 
@@ -139,7 +137,6 @@ class TravelingWave:
     field: TemperatureField
     kinetics: KineticsModel
     rate: CombustionRate
-    stop_reason: str
     history: tuple
     report: Optional["_diagnostics.DiagnosticsReport"] = None
 
@@ -159,6 +156,13 @@ class TravelingWave:
     @property
     def floor_inactive(self) -> bool:
         return self.history[-1].floor_inactive
+
+    @property
+    def stop_reason(self) -> str:
+        """Why the continuation stopped, by the stage loop's tests in order."""
+        if self.kinetics.evaluate(0.0) >= 1.0 / self.final_truncation:
+            return "truncation is a no-op for this rate law"
+        return "stage speeds settled; floor inactive along the front"
 
     @property
     def final_kinetics(self) -> KineticsModel:
@@ -185,7 +189,7 @@ class TravelingWave:
 
 def _stage_speed_cap(config: SolverConfig) -> float:
     _, r_hi = config.rate.bounds
-    return r_hi * max(config.kinetics.supremum, 1.0 / _FIRST_TRUNCATION)
+    return r_hi * max(config.kinetics.supremum, 1.0)
 
 
 def resolve_grid(config: SolverConfig) -> StripGrid:
@@ -344,16 +348,13 @@ def solve_traveling_wave(config: SolverConfig) -> TravelingWave:
     """
     grid = resolve_grid(config)
     base = config.kinetics
-    rate = config.rate
     state = _initial_state(config, grid)
-    n = _FIRST_TRUNCATION
     history = []
 
     k_hot = float(base.evaluate(1.0))
-    for _ in range(_MAX_STAGES):
+    for n in (2**k for k in range(_MAX_STAGES)):
         if k_hot < 1.0 / n:
             # The floor lies above K on all of [0, 1] (K is nondecreasing).
-            n *= 2
             continue
         state, updates = solve_at_truncation(config, n, grid=grid, start=state)
         # The floor is inactive when K is at least 1/n everywhere on the trace.
@@ -381,36 +382,32 @@ def solve_traveling_wave(config: SolverConfig) -> TravelingWave:
             floor_inactive,
         )
 
-        if base.evaluate(0.0) >= 1.0 / n:
-            # The floor changes nothing anywhere, so this stage already
-            # solved the untruncated problem.
-            stop_reason = "truncation is a no-op for this rate law"
+        # Either the floor changes nothing anywhere, so this stage already
+        # solved the untruncated problem, or the stage settled above it.
+        if base.evaluate(0.0) >= 1.0 / n or (
+            floor_inactive and gap < config.outer_tol
+        ):
             break
-        if floor_inactive and gap < config.outer_tol:
-            stop_reason = "stage speeds settled; floor inactive along the front"
-            break
-        n *= 2
     else:
         raise NonConvergenceError(
             "continuation exhausted its stage budget before a stage settled with "
-            f"its floor inactive; last stage tried n={n // 2}, floor 1/n = "
-            f"{2.0 / n:.3g}, K(1) = {k_hot:.3g}",
+            f"its floor inactive; last stage tried n={n}, floor 1/n = "
+            f"{1.0 / n:.3g}, K(1) = {k_hot:.3g}",
             iterations=_MAX_STAGES,
             residual=history[-1].speed_gap if history else None,
             history=[rec.speed for rec in history][-8:],
         )
 
-    forcing = build_forcing(truncate_kinetics(base, n), rate, state.theta)
     wave = TravelingWave(
-        speed=compute_speed(forcing, state.psi),
+        speed=state.speed,
         psi=state.psi,
         theta=state.theta,
         field=state.field,
         kinetics=base,
-        rate=rate,
-        stop_reason=stop_reason,
+        rate=config.rate,
         history=tuple(history),
     )
+    wave = replace(wave, speed=compute_speed(wave.forcing, wave.psi))
     if config.run_diagnostics:
         wave = replace(wave, report=_diagnostics.run_all(wave))
     return wave

@@ -2,12 +2,12 @@
 
 Each check tests a structural property the continuous problem guarantees --
 speed bounds, conserved trace integral, qualitative monotonicity, a Jensen
-inequality for the reacted mass, a pointwise exponential barrier, an energy
-identity, and a curvature cap -- with explicit slack for discretization
-error.  The speed, Jensen and curvature slacks shrink with their bound once
-it falls below one, so they stay checks on slow waves.  A failing check flags
-a wave that should not be trusted, however converged the iteration counters
-look.
+inequality for the reacted mass, a nonnegative field under a pointwise
+exponential barrier, an energy identity, and a curvature cap -- with
+explicit slack for discretization error.  The speed, Jensen and curvature
+slacks shrink with their bound once it falls below one, so they stay checks
+on slow waves.  A failing check flags a wave that should not be trusted,
+however converged the iteration counters look.
 """
 from __future__ import annotations
 
@@ -29,6 +29,7 @@ __all__ = [
     "check_trace_positivity",
     "check_jensen_bound",
     "check_monotone_minima",
+    "check_field_nonnegative",
     "check_max_principle",
     "check_energy_identity",
     "check_curvature_cap",
@@ -182,18 +183,30 @@ def check_monotone_minima(wave) -> CheckResult:
     )
 
 
+def check_field_nonnegative(wave) -> CheckResult:
+    """The field stays nonnegative."""
+    lowest = float(np.min(wave.field.values))
+    return CheckResult(
+        name="field_nonnegative",
+        statement="field >= 0 at every node",
+        passed=lowest >= -NEGATIVE_FIELD_SLACK,
+        measured=lowest,
+        bound=0.0,
+        tolerance=NEGATIVE_FIELD_SLACK,
+    )
+
+
 def check_max_principle(wave) -> CheckResult:
-    """The field stays between zero and the exponential barrier."""
+    """The field stays below the exponential barrier."""
     grid = wave.field.grid
     barrier = np.exp(
         wave.speed * (grid.x_nodes[:, None] + wave.psi.values[None, :])
     )
     excess = float(np.max(wave.field.values - barrier))
-    lowest = float(np.min(wave.field.values))
     return CheckResult(
         name="max_principle",
-        statement="0 <= field <= exp(speed * (X + psi)) at every node",
-        passed=excess <= BARRIER_SLACK and lowest >= -NEGATIVE_FIELD_SLACK,
+        statement="field <= exp(speed * (X + psi)) at every node",
+        passed=excess <= BARRIER_SLACK,
         measured=excess,
         bound=0.0,
         tolerance=BARRIER_SLACK,
@@ -256,6 +269,7 @@ _ALL_CHECKS = (
     check_trace_positivity,
     check_jensen_bound,
     check_monotone_minima,
+    check_field_nonnegative,
     check_max_principle,
     check_energy_identity,
     check_curvature_cap,

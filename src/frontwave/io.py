@@ -146,21 +146,27 @@ def write_failure_manifest(outdir, config_echo: dict, error: Exception):
 
 
 def read_columns(path, expected_header) -> dict:
-    """Read one of the CSV artifacts back into named columns."""
+    """Read one of the CSV artifacts back into named columns; a cell that is
+    not a finite number is a ``ConfigurationError``."""
     path = Path(path)
     with path.open() as handle:
         header = handle.readline().strip().split(",")
     if tuple(header) != tuple(expected_header):
         raise ConfigurationError(f"{path}: unexpected columns {header}")
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None
     if data.shape[1] != len(header):
         raise ConfigurationError(f"{path}: wrong column count")
+    if not np.all(np.isfinite(data)):
+        raise ConfigurationError(f"{path}: values must be finite")
     return {name: data[:, k] for k, name in enumerate(header)}
 
 
 def read_field(path) -> np.ndarray:
-    """Read ``field.npy`` back; anything but a 2-D float64 array (a text or
-    pickle file included) is a ``ConfigurationError``."""
+    """Read ``field.npy`` back; anything but a 2-D finite float64 array (a
+    text or pickle file included) is a ``ConfigurationError``."""
     try:
         values = np.load(path, allow_pickle=False)
     except (ValueError, EOFError) as exc:
@@ -168,6 +174,8 @@ def read_field(path) -> np.ndarray:
     if not (isinstance(values, np.ndarray) and values.ndim == 2
             and values.dtype == np.float64):
         raise ConfigurationError(f"{path}: not a 2-D float64 array")
+    if not np.all(np.isfinite(values)):
+        raise ConfigurationError(f"{path}: field values must be finite")
     return values
 
 
@@ -177,10 +185,18 @@ def load_wave(outdir):
 
     Returns:
         Tuple ``(wave, config, manifest)``.
+
+    Raises:
+        ConfigurationError: naming the file that is not JSON, lacks an entry,
+            holds an out-of-range entry or a non-finite value, or does not
+            match the manifest.
     """
     outdir = Path(outdir)
     manifest_path = outdir / "manifest.json"
-    manifest = json.loads(manifest_path.read_text())
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"{manifest_path}: not JSON ({exc})") from None
     if not isinstance(manifest, dict):
         raise ConfigurationError(f"{manifest_path}: top level must be an object")
     if manifest.get("format") != MANIFEST_FORMAT:
@@ -202,8 +218,7 @@ def load_wave(outdir):
             StageRecord(**{**entry, "speed_gap": _gap(entry["speed_gap"])})
             for entry in manifest["stages"]
         )
-        stop_reason = manifest["stop_reason"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
         raise ConfigurationError(
             f"{manifest_path}: missing or malformed entry ({exc})"
         ) from None
@@ -225,7 +240,6 @@ def load_wave(outdir):
         field=TemperatureField(grid=grid, values=values, speed=speed),
         kinetics=config.kinetics,
         rate=config.rate,
-        stop_reason=stop_reason,
         history=history,
     )
     return wave, config, manifest

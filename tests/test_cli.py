@@ -144,10 +144,10 @@ def test_diagnose_manifest_missing_key_is_config_error(solved_run, tmp_path, cap
     copy = tmp_path / "keyless"
     shutil.copytree(outdir, copy)
     manifest = read_manifest(copy)
-    del manifest["stop_reason"]
+    del manifest["stages"]
     (copy / "manifest.json").write_text(json.dumps(manifest))
     assert main(["diagnose", "--in", str(copy)]) == 1
-    assert "missing or malformed entry ('stop_reason')" in caplog.text
+    assert "missing or malformed entry ('stages')" in caplog.text
 
 
 @pytest.mark.parametrize(
@@ -170,6 +170,63 @@ def test_diagnose_names_the_manifest_for_an_out_of_range_value(
     (copy / "manifest.json").write_text(json.dumps(manifest))
     assert main(["diagnose", "--in", str(copy)]) == 1
     assert f"manifest.json: missing or malformed entry ({message})" in caplog.text
+
+
+def set_csv_cell(path, row, column, text):
+    lines = path.read_text().splitlines()
+    cells = lines[row].split(",")
+    cells[column] = text
+    lines[row] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def put_nan_in_field(copy):
+    values = np.load(copy / "field.npy")
+    values[3, 2] = np.nan
+    np.save(copy / "field.npy", values)
+
+
+def set_negative_activation(copy):
+    manifest = read_manifest(copy)
+    manifest["config"]["kinetics"]["activation"] = -1.0
+    (copy / "manifest.json").write_text(json.dumps(manifest))
+
+
+DAMAGED_FILES = {
+    "manifest-not-json": (
+        lambda copy: (copy / "manifest.json").write_text("{'speed': 1}"),
+        "manifest.json: not JSON (Expecting property name enclosed in double quotes",
+    ),
+    "field-nan": (put_nan_in_field, "field.npy: field values must be finite"),
+    "front-nan": (
+        lambda copy: set_csv_cell(copy / "front.csv", 3, 1, "nan"),
+        "front.csv: values must be finite",
+    ),
+    "trace-nan": (
+        lambda copy: set_csv_cell(copy / "trace.csv", 3, 1, "nan"),
+        "trace.csv: values must be finite",
+    ),
+    "trace-empty-cell": (
+        lambda copy: set_csv_cell(copy / "trace.csv", 3, 1, ""),
+        "trace.csv: could not convert string ''",
+    ),
+    "config-out-of-range": (
+        set_negative_activation,
+        "manifest.json: missing or malformed entry "
+        "(kinetics: activation must be positive and finite)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DAMAGED_FILES))
+def test_diagnose_names_the_damaged_file(solved_run, tmp_path, caplog, case):
+    damage, message = DAMAGED_FILES[case]
+    _, outdir = solved_run
+    copy = tmp_path / "damaged"
+    shutil.copytree(outdir, copy)
+    damage(copy)
+    assert main(["diagnose", "--in", str(copy)]) == 1
+    assert f"{copy}{os.sep}{message}" in caplog.text
 
 
 def test_diagnose_rejects_field_shape_that_differs_from_manifest(
@@ -929,6 +986,50 @@ def test_convergence_failure_manifest_echoes_the_failed_level_grid(
     assert "level 1 stalled" in manifest["reason"]
     assert manifest["config"] == {
         **FLAT_DOC, "grid": {"ny": 16, "nx": 1024, "depth": 40.0},
+    }
+
+
+def test_convergence_with_vanishing_kinetics_writes_failure_manifest(tmp_path):
+    doc = dict(FLAT_DOC, kinetics={"type": "tabulated",
+                                   "points": [[0, 0], [1, 0], [2, 1]]})
+    outdir = tmp_path / "conv"
+    code = main(["convergence", "--config", write_config(tmp_path, doc),
+                 "--levels", "2", "--out", str(outdir)])
+    assert code == 1
+    manifest = read_manifest(outdir)
+    assert manifest["status"] == "failed"
+    assert manifest["error"] == "ConfigurationError"
+    assert "integral over the unit interval vanishes" in manifest["reason"]
+    assert manifest["config"] == doc
+    assert not (outdir / "convergence.csv").exists()
+
+
+def test_convergence_level_0_failure_echoes_the_resolved_auto_grid(
+    tmp_path, monkeypatch
+):
+    doc = {
+        "kinetics": FLAT_DOC["kinetics"],
+        "rate": {"type": "piecewise", "edges": [0.0, 0.5],
+                 "values": [0.5, 1.5]},
+        "grid": {"ny": 8},
+    }
+    grid = frontwave.resolve_grid(frontwave.config_from_dict(doc))
+    solved = []
+
+    def fail_on_level_0(config):
+        solved.append((config.nx, config.ny, config.depth))
+        raise NonConvergenceError("level 0 stalled")
+
+    monkeypatch.setattr(cli, "solve_traveling_wave", fail_on_level_0)
+    outdir = tmp_path / "conv"
+    code = main(["convergence", "--config", write_config(tmp_path, doc),
+                 "--levels", "2", "--out", str(outdir)])
+    assert code == 2
+    assert solved == [(grid.nx, 8, grid.depth)]
+    manifest = read_manifest(outdir)
+    assert "level 0 stalled" in manifest["reason"]
+    assert manifest["config"] == {
+        **doc, "grid": {"ny": 8, "nx": grid.nx, "depth": grid.depth},
     }
 
 

@@ -403,6 +403,18 @@ def test_constant_kinetics_stops_without_truncation():
     assert wave.speed == pytest.approx(2.0, abs=1e-8)
 
 
+def test_stop_reason_is_derived_from_the_kinetics_and_last_stage():
+    """K(0) = 2 makes the first stage's floor a no-op; an Arrhenius law with
+    the same K(1) vanishes at 0, so the same stage stopped by settling."""
+    config = flat_like(kinetics=ConstantKinetics(2.0), nx=None, depth=None,
+                       run_diagnostics=False)
+    wave = solve_traveling_wave(config)
+    assert wave.stop_reason == "truncation is a no-op for this rate law"
+    moved = replace(wave, kinetics=ArrheniusKinetics(2.0, 1.0))
+    assert moved.final_truncation == 1
+    assert moved.stop_reason == "stage speeds settled; floor inactive along the front"
+
+
 def test_stage_history_brackets_and_doubling(striated_wave):
     base = ArrheniusKinetics(1.0, 1.0)
     r_lo, r_hi = 0.5, 1.5
@@ -492,7 +504,7 @@ def test_wave_derives_its_stage_facts_and_grid(flat_wave):
     names = {f.name for f in fields(TravelingWave)}
     assert not names & {
         "grid", "final_truncation", "floor_inactive", "converged",
-        "forcing", "residuals",
+        "forcing", "residuals", "stop_reason",
     }
     last = flat_wave.history[-1]
     assert flat_wave.final_truncation == last.truncation

@@ -20,6 +20,7 @@ from frontwave.diagnostics import (
     SPEED_SLACK,
     check_curvature_cap,
     check_energy_identity,
+    check_field_nonnegative,
     check_jensen_bound,
     check_max_principle,
     check_monotone_minima,
@@ -36,6 +37,7 @@ EXPECTED_CHECKS = {
     "trace_positivity",
     "jensen_bound",
     "monotone_minima",
+    "field_nonnegative",
     "max_principle",
     "energy_identity",
     "curvature_cap",
@@ -150,11 +152,17 @@ def test_node_above_barrier_fails_max_principle(flat_wave):
     assert not check_max_principle(corrupt).passed
 
 
-def test_negative_node_fails_max_principle(flat_wave):
+def test_negative_node_fails_field_nonnegative(flat_wave):
+    """A negative node fails the nonnegativity side, which reports it; the
+    barrier side still holds."""
     values = flat_wave.field.values.copy()
     values[5, 0] = -1e-6
     corrupt = with_field_values(flat_wave, values)
-    assert not check_max_principle(corrupt).passed
+    check = check_field_nonnegative(corrupt)
+    assert not check.passed
+    assert check.measured == -1e-6
+    assert check_max_principle(corrupt).passed
+    assert not run_all(corrupt).passed
 
 
 def test_doubled_field_fails_energy_check(flat_wave):

@@ -148,7 +148,7 @@ def test_failure_manifest_records_error_fields(tmp_path):
 @pytest.mark.parametrize(
     "path",
     ["config", "grid", "grid/depth", "speed", "stages", "stages/0/sweeps",
-     "stages/0/speed_gap", "stages/0/last_update", "stop_reason"],
+     "stages/0/speed_gap", "stages/0/last_update", "stages/0/floor_inactive"],
 )
 def test_manifest_missing_key_is_configuration_error(rundir, tmp_path, path):
     manifest = json.loads((rundir / "manifest.json").read_text())
@@ -165,18 +165,22 @@ def test_manifest_missing_key_is_configuration_error(rundir, tmp_path, path):
 
 
 def test_stage_facts_are_read_from_the_stages(rundir, tmp_path):
-    """The top-level copies of the last stage's facts are written for
-    readers of the manifest; loading takes them from ``stages``."""
+    """The top-level copies of the last stage's facts and the stop reason
+    are written for readers of the manifest; loading derives them from
+    ``stages`` and the kinetics."""
     manifest = json.loads((rundir / "manifest.json").read_text())
     last = manifest["stages"][-1]
     manifest["final_truncation"] = 3 * last["truncation"]
     manifest["floor_inactive"] = not last["floor_inactive"]
+    stop_reason = manifest["stop_reason"]
+    manifest["stop_reason"] = "edited by hand"
     for name in ("front.csv", "trace.csv", "field.npy"):
         (tmp_path / name).write_bytes((rundir / name).read_bytes())
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     wave, _, _ = load_wave(tmp_path)
     assert wave.final_truncation == last["truncation"]
     assert wave.floor_inactive is last["floor_inactive"]
+    assert wave.stop_reason == stop_reason
 
     manifest["stages"] = []
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
