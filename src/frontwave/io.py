@@ -20,6 +20,7 @@ from .config import config_from_dict
 from .coupler import StageRecord, TravelingWave
 from .errors import ConfigurationError
 from .front import FrontProfile, front_derivatives, front_residual
+from .kinetics import truncate_kinetics
 from .temperature import StripGrid, TemperatureField
 
 __all__ = [
@@ -218,6 +219,8 @@ def load_wave(outdir):
             StageRecord(**{**entry, "speed_gap": _gap(entry["speed_gap"])})
             for entry in manifest["stages"]
         )
+        for record in history:
+            truncate_kinetics(config.kinetics, record.truncation)
     except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
         raise ConfigurationError(
             f"{manifest_path}: missing or malformed entry ({exc})"
@@ -227,10 +230,17 @@ def load_wave(outdir):
 
     front_cols = read_columns(outdir / "front.csv", FRONT_COLUMNS)
     trace_cols = read_columns(outdir / "trace.csv", TRACE_COLUMNS)
+    for name, cols in (("front.csv", front_cols), ("trace.csv", trace_cols)):
+        if len(cols["y"]) != grid.ny:
+            raise ConfigurationError(
+                f"{outdir / name}: {len(cols['y'])} rows, but the manifest grid"
+                f" has ny = {grid.ny}"
+            )
     values = read_field(outdir / "field.npy")
     if values.shape != (grid.nx + 1, grid.ny):
         raise ConfigurationError(
-            f"field.npy shape {values.shape} does not match the manifest grid"
+            f"{outdir / 'field.npy'}: shape {values.shape} does not match the manifest"
+            f" grid {(grid.nx + 1, grid.ny)}"
         )
 
     wave = TravelingWave(

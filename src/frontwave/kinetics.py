@@ -10,12 +10,12 @@ integral of ``max(K, floor)`` over the unit temperature interval in closed form.
 """
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "KineticsModel",
@@ -42,6 +42,51 @@ def _as_temperature(u):
 
 def _match_shape(out, u):
     return float(out) if np.ndim(u) == 0 else out
+
+
+_EULER = 0.57721566490153286061
+_MAXLOG = 709.782712893384  # ln of the largest double; E_2 reads 0 above it
+_MACHEP = 2.0**-53
+_BIG = 2.0**57
+
+
+def _expn2(x: float) -> float:
+    """Exponential integral ``E_2(x)``, the integral of ``exp(-x t) / t^2``
+    over ``t >= 1``, for ``x > 0``.
+
+    A port of Cephes ``expn`` (Moshier, 1989) at n = 2, the routine behind
+    ``scipy.special.expn``: the power series (DLMF 8.19.8) for ``x <= 1`` and
+    the continued fraction (DLMF 8.19.17) above, each summed to a relative
+    ``2^-53``.
+    """
+    if x > _MAXLOG:
+        return 0.0
+    if x <= 1.0:
+        # E_2(x) = -x (psi(2) - ln x) - sum over k != 1 of (-x)^k / ((k - 1) k!)
+        psi = -_EULER - math.log(x) + 1.0
+        term, total, k = -x, -1.0, 1
+        while True:
+            k += 1
+            term *= -x / k
+            total += term / (k - 1)
+            if abs(term / total) <= _MACHEP:
+                return -x * psi - total
+    # Convergents p/q of the continued fraction: step k adds the partial
+    # numerator k/2 over x for even k, 2 + k//2 over 1 for odd k.  Rescaling
+    # by a power of two is exact and keeps them finite.
+    p0, q0, p1, q1 = 1.0, x, 1.0, x + 2.0
+    ans, k = p1 / q1, 1
+    while True:
+        k += 1
+        y, a = (1.0, 2 + k // 2) if k % 2 else (x, k // 2)
+        p0, p1 = p1, p1 * y + p0 * a
+        q0, q1 = q1, q1 * y + q0 * a
+        r = p1 / q1
+        if abs((ans - r) / r) <= _MACHEP:
+            return r * math.exp(-x)
+        ans = r
+        if abs(p1) > _BIG:
+            p0, q0, p1, q1 = p0 / _BIG, q0 / _BIG, p1 / _BIG, q1 / _BIG
 
 
 class KineticsModel(ABC):
@@ -106,11 +151,11 @@ class ArrheniusKinetics(KineticsModel):
             return floor
         # The law exceeds the floor above the crossing ``a``, and there
         # d/du [u E2(B/u)] = exp(-B/u) integrates it exactly.
-        tail = special.expn(2, self.activation)
+        tail = _expn2(self.activation)
         if floor <= 0.0:
             return float(self.prefactor * tail)
         a = self.activation / np.log(self.prefactor / floor)
-        tail -= a * special.expn(2, self.activation / a)
+        tail -= a * _expn2(self.activation / a)
         return float(floor * a + self.prefactor * tail)
 
 

@@ -192,6 +192,21 @@ def set_negative_activation(copy):
     (copy / "manifest.json").write_text(json.dumps(manifest))
 
 
+def resize_csv(path, rows):
+    """Cut a CSV artifact to ``rows`` data rows, or grow it by repeating them."""
+    header, *body = path.read_text().splitlines()
+    body = (body * (1 + rows // len(body)))[:rows]
+    path.write_text("\n".join([header, *body]) + "\n")
+
+
+def set_last_truncation(value):
+    def damage(copy):
+        manifest = read_manifest(copy)
+        manifest["stages"][-1]["truncation"] = value
+        (copy / "manifest.json").write_text(json.dumps(manifest))
+    return damage
+
+
 DAMAGED_FILES = {
     "manifest-not-json": (
         lambda copy: (copy / "manifest.json").write_text("{'speed': 1}"),
@@ -214,6 +229,31 @@ DAMAGED_FILES = {
         set_negative_activation,
         "manifest.json: missing or malformed entry "
         "(kinetics: activation must be positive and finite)",
+    ),
+    "trace-cut": (
+        lambda copy: resize_csv(copy / "trace.csv", 4),
+        "trace.csv: 4 rows, but the manifest grid has ny = 8",
+    ),
+    "trace-grown": (
+        lambda copy: resize_csv(copy / "trace.csv", 16),
+        "trace.csv: 16 rows, but the manifest grid has ny = 8",
+    ),
+    "front-grown-to-power-of-two": (
+        lambda copy: resize_csv(copy / "front.csv", 16),
+        "front.csv: 16 rows, but the manifest grid has ny = 8",
+    ),
+    "front-grown-off-power-of-two": (
+        lambda copy: resize_csv(copy / "front.csv", 9),
+        "front.csv: 9 rows, but the manifest grid has ny = 8",
+    ),
+    "truncation-float": (
+        set_last_truncation(8.0),
+        "manifest.json: missing or malformed entry "
+        "(truncation index must be an integer)",
+    ),
+    "truncation-zero": (
+        set_last_truncation(0),
+        "manifest.json: missing or malformed entry (truncation index must be >= 1)",
     ),
 }
 
@@ -239,7 +279,10 @@ def test_diagnose_rejects_field_shape_that_differs_from_manifest(
     assert values.shape == (513, 8)
     np.save(copy / "field.npy", np.vstack([values, values]))
     assert main(["diagnose", "--in", str(copy)]) == 1
-    assert "field.npy shape (1026, 8) does not match the manifest grid" in caplog.text
+    assert (
+        f"{copy}{os.sep}field.npy: shape (1026, 8) does not match the manifest grid"
+        " (513, 8)" in caplog.text
+    )
 
 
 def test_diagnose_refuses_a_v2_run_directory(solved_run, tmp_path, caplog):

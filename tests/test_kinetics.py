@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import integrate, optimize
+from scipy import integrate, optimize, special
 
 import frontwave
 import oracles
@@ -20,6 +20,7 @@ from frontwave import (
     TruncatedKinetics,
     truncate_kinetics,
 )
+from frontwave.kinetics import _expn2
 
 
 def test_arrhenius_reference_values():
@@ -211,18 +212,41 @@ def test_floored_integral_of_table_with_flat_segment_at_the_floor():
     assert model.floored_integral(0.0) == pytest.approx(0.1 + 0.4 + 0.4 + 0.6, abs=1e-15)
 
 
-def test_import_loads_no_quadrature_or_root_finder():
+def _loaded_after_import(module, candidates):
+    """Which of ``candidates`` a fresh interpreter holds after ``import module``."""
     path = [str(Path(frontwave.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     code = (
-        "import frontwave, sys; "
-        "print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])"
+        f"import {module}, sys; "
+        f"print([m for m in {tuple(candidates)!r} if m in sys.modules])"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
         env=env, capture_output=True, text=True, timeout=60, check=True,
     )
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_import_loads_no_quadrature_or_root_finder():
+    loaded = _loaded_after_import("frontwave", ("scipy.integrate", "scipy.optimize"))
+    assert loaded == "[]"
+
+
+def test_cli_import_leaves_scipy_special_unloaded():
+    assert _loaded_after_import("frontwave.cli", ("scipy.special",)) == "[]"
+
+
+def test_expn2_matches_scipy_across_the_series_and_fraction_ranges():
+    # 1 +- 1e-7 and 1 itself straddle the hand-over from series to fraction;
+    # 1e-20 and 1e-300, below 2^-53, keep only the series' leading -1.
+    x = np.append(
+        np.geomspace(1e-12, 700.0, 4001), [1.0 - 1e-7, 1.0, 1.0 + 1e-7, 1e-20, 1e-300]
+    )
+    ours = np.array([_expn2(float(v)) for v in x])
+    reference = special.expn(2, x)
+    assert np.max(np.abs(ours / reference - 1.0)) <= 1e-15
+    for beyond in (709.79, 750.0, 1e300):
+        assert _expn2(beyond) == 0.0
 
 
 def test_piecewise_rate_lookup_and_periodicity():
